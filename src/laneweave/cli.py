@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
 from .core import DriveLog, ModelParams, OffsetSeries
 from .errors import (
     CalibrationError,
@@ -114,7 +113,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             settings[key] = value
     try:
-        return RunConfig(**settings)
+        config = RunConfig(**settings)
+        config.model_params()  # validates the model parameters up front
+        return config
     except (TypeError, ValueError) as exc:
         raise ArgumentUsageError(f"invalid configuration: {exc}") from None
 
@@ -193,10 +194,9 @@ def format_drive_log_csv(log: DriveLog) -> str:
 
 
 def format_profile_csv(series: OffsetSeries) -> str:
-    lines = ["t,x"]
-    for i, value in enumerate(series.values):
-        lines.append(f"{float(i * series.dt)!r},{float(value)!r}")
-    return "\n".join(lines) + "\n"
+    times = (np.arange(len(series)) * series.dt).tolist()
+    rows = [f"{t!r},{x!r}\n" for t, x in zip(times, series.values.tolist())]
+    return "t,x\n" + "".join(rows)
 
 
 def ingest_segments(paths, config: RunConfig) -> list[Segment]:
@@ -258,9 +258,8 @@ def calibrate_from_segments(
     return model, summary
 
 
-def bench_generation(model: TwoLevelModel, steps: int, repetitions: int) -> list[dict]:
-    """Wall times for full, drift-only, and jitter-only generation on
-    every available backend.
+def bench_generation(model: TwoLevelModel, steps: int, repetitions: int) -> dict:
+    """Wall times for full, drift-only, and jitter-only generation.
 
     Phase times are best-of-N; the offline-noise saving is the median of
     the per-repetition paired (full - coarse) differences, which keeps
@@ -271,41 +270,34 @@ def bench_generation(model: TwoLevelModel, steps: int, repetitions: int) -> list
     params = model.params
     duration = steps * params.dt
     initial_state = discretize(0.0, params.n_c)
-    results = []
-    for backend in _kernels.available_backends():
-        with _kernels.forced_backend(backend):
-            generate_profile(model, 0.0, duration, 0)  # warm-up, includes JIT
-            full = coarse = noise = float("inf")
-            paired_diffs = []
-            for rep in range(repetitions):
-                start = time.perf_counter()
-                generate_profile(model, 0.0, duration, rep)
-                full_rep = time.perf_counter() - start
+    generate_profile(model, 0.0, duration, 0)  # warm-up
+    full = coarse = noise = float("inf")
+    paired_diffs = []
+    for rep in range(repetitions):
+        start = time.perf_counter()
+        generate_profile(model, 0.0, duration, rep)
+        full_rep = time.perf_counter() - start
 
-                start = time.perf_counter()
-                coarse_profile(model, initial_state, steps, np.random.default_rng(rep))
-                coarse_rep = time.perf_counter() - start
+        start = time.perf_counter()
+        coarse_profile(model, initial_state, steps, np.random.default_rng(rep))
+        coarse_rep = time.perf_counter() - start
 
-                start = time.perf_counter()
-                generate_noise(model.fine, steps, np.random.default_rng(rep))
-                noise = min(noise, time.perf_counter() - start)
+        start = time.perf_counter()
+        generate_noise(model.fine, steps, np.random.default_rng(rep))
+        noise = min(noise, time.perf_counter() - start)
 
-                full = min(full, full_rep)
-                coarse = min(coarse, coarse_rep)
-                paired_diffs.append(full_rep - coarse_rep)
-        results.append(
-            {
-                "backend": backend,
-                "steps": steps,
-                "repetitions": repetitions,
-                "full_s": full,
-                "coarse_s": coarse,
-                "noise_s": noise,
-                "saving_s": float(np.median(paired_diffs)),
-                "speedup_vs_realtime": duration / full,
-            }
-        )
-    return results
+        full = min(full, full_rep)
+        coarse = min(coarse, coarse_rep)
+        paired_diffs.append(full_rep - coarse_rep)
+    return {
+        "steps": steps,
+        "repetitions": repetitions,
+        "full_s": full,
+        "coarse_s": coarse,
+        "noise_s": noise,
+        "saving_s": float(np.median(paired_diffs)),
+        "speedup_vs_realtime": duration / full,
+    }
 
 
 def _utc_now() -> str:
@@ -395,16 +387,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    results = bench_generation(model, args.steps, args.reps)
+    row = bench_generation(model, args.steps, args.reps)
     duration = args.steps * model.params.dt
     print(f"profile of {args.steps} steps = {duration:.0f} s simulated, best of {args.reps}")
-    for row in results:
-        print(
-            f"backend={row['backend']:<5} full={row['full_s'] * 1e3:8.3f} ms  "
-            f"coarse={row['coarse_s'] * 1e3:8.3f} ms  noise={row['noise_s'] * 1e3:8.3f} ms  "
-            f"offline-noise saving={row['saving_s'] / row['full_s']:5.1%}  "
-            f"speedup={row['speedup_vs_realtime']:,.0f}x realtime"
-        )
+    print(
+        f"full={row['full_s'] * 1e3:8.3f} ms  "
+        f"coarse={row['coarse_s'] * 1e3:8.3f} ms  noise={row['noise_s'] * 1e3:8.3f} ms  "
+        f"offline-noise saving={row['saving_s'] / row['full_s']:5.1%}  "
+        f"speedup={row['speedup_vs_realtime']:,.0f}x realtime"
+    )
     return EXIT_OK
 
 
@@ -466,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-out", dest="model_out", help="also write the ground-truth model")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("bench", help="time profile generation per backend")
+    p = sub.add_parser("bench", help="time profile generation")
     p.add_argument("--model", required=True)
     p.add_argument("--steps", type=int, default=18000)
     p.add_argument("--reps", type=int, default=5)

@@ -7,6 +7,8 @@ right one.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -17,6 +19,15 @@ from .errors import InvalidSampleError
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
 
 _LOG_COLUMNS = ("t", "dist_left", "dist_right", "v_lon", "lane_id")
+_PARAM_FLOAT_FIELDS = (
+    "dt",
+    "smoothing_sigma",
+    "smoothing_support",
+    "cap_threshold",
+    "v_min",
+    "sample_rate",
+    "snippet_duration",
+)
 
 
 @dataclass(frozen=True)
@@ -33,6 +44,12 @@ class ModelParams:
     snippet_duration: float = 10.0
 
     def __post_init__(self):
+        if isinstance(self.n_c, bool) or not isinstance(self.n_c, numbers.Integral):
+            raise TypeError(f"n_c must be an integer, got {self.n_c!r}")
+        for name in _PARAM_FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.n_c < 2:
             raise ValueError(f"n_c must be >= 2, got {self.n_c}")
         if self.dt <= 0:

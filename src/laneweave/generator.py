@@ -90,14 +90,22 @@ def generate_profile(
     return OffsetSeries(params.dt, drift + jitter)
 
 
+def _current_umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
+    """Write via a temp file in the same directory plus rename. The file
+    gets the mode a plain open() would give it: 0666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~_current_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -130,6 +138,14 @@ def _require(doc: dict, key: str, context: str = "model file"):
     return doc[key]
 
 
+def _require_floats(doc: dict, key: str, context: str) -> np.ndarray:
+    value = _require(doc, key, context)
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ModelFormatError(f"{context} field {key!r} must hold numbers") from None
+
+
 def model_from_dict(doc: dict) -> TwoLevelModel:
     version = _require(doc, "version")
     if version != FORMAT_VERSION:
@@ -143,7 +159,7 @@ def model_from_dict(doc: dict) -> TwoLevelModel:
         raise ModelFormatError(f"invalid params: {exc}") from None
 
     raw_coarse = _require(doc, "coarse")
-    flat = np.asarray(_require(raw_coarse, "transition", "coarse section"), dtype=np.float64)
+    flat = _require_floats(raw_coarse, "transition", "coarse section")
     if flat.size != params.n_c * params.n_c:
         raise ModelFormatError(
             f"coarse.transition has {flat.size} entries, expected {params.n_c * params.n_c}"
@@ -158,7 +174,7 @@ def model_from_dict(doc: dict) -> TwoLevelModel:
         )
     except ValueError as exc:
         raise ModelFormatError(f"invalid coarse model: {exc}") from None
-    centers = np.asarray(_require(raw_coarse, "state_centers", "coarse section"), dtype=np.float64)
+    centers = _require_floats(raw_coarse, "state_centers", "coarse section")
     if centers.size != params.n_c or not np.allclose(
         centers, state_centers(params.n_c), rtol=0.0, atol=1e-12
     ):
@@ -167,12 +183,12 @@ def model_from_dict(doc: dict) -> TwoLevelModel:
     raw_fine = _require(doc, "fine")
     try:
         fine = FineModel(
-            kernel_taps=np.asarray(_require(raw_fine, "kernel_taps", "fine section"), dtype=np.float64),
+            kernel_taps=_require_floats(raw_fine, "kernel_taps", "fine section"),
             dt=params.dt,
             noise_halfwidth=float(_require(raw_fine, "noise_halfwidth", "fine section")),
             cap_threshold=params.cap_threshold,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"invalid fine model: {exc}") from None
 
     metadata = doc.get("metadata") or {}

@@ -4,13 +4,13 @@ stepwise state track."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from . import _kernels
 from .core import OffsetSeries, SeedLike, as_generator
 from .errors import CalibrationError
 
@@ -134,6 +134,8 @@ class CoarseModel:
             raise ValueError(
                 f"transition matrix must be {self.n_c}x{self.n_c}, got {transition.shape}"
             )
+        if not np.all(np.isfinite(transition)):
+            raise ValueError("transition probabilities must be finite")
         if np.any(transition < -1e-12) or np.any(transition > 1.0 + 1e-12):
             raise ValueError("transition probabilities must lie in [0, 1]")
         sums = transition.sum(axis=1)
@@ -153,8 +155,8 @@ class CoarseModel:
         return gaussian_kernel(self.smoothing_sigma, self.smoothing_support, self.dt).taps
 
     @cached_property
-    def _cumulative_rows(self) -> np.ndarray:
-        return np.cumsum(self.transition, axis=1)
+    def _cumulative_rows(self) -> list[list[float]]:
+        return np.cumsum(self.transition, axis=1).tolist()
 
     def kernel(self) -> SmoothingKernel:
         return SmoothingKernel(self.smoothing_taps, self.dt)
@@ -163,16 +165,27 @@ class CoarseModel:
 def sample_chain(model: CoarseModel, initial_state: int, n_steps: int, rng: SeedLike) -> np.ndarray:
     """Sample a state-index path of n_steps starting at initial_state.
 
-    Uniform draws come vectorized from the generator and are consumed by
-    the compiled walk, so results do not depend on the active backend and
-    repeat bit for bit under the same seed.
+    One uniform per step is drawn vectorized from the generator; each
+    step moves to the first state whose cumulative probability exceeds
+    its uniform, clamped to the last state when a row sums short of 1.
+    Paths repeat bit for bit under the same seed.
     """
     if not 0 <= initial_state < model.n_c:
         raise ValueError(f"initial state {initial_state} outside [0, {model.n_c})")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     uniforms = as_generator(rng).random(n_steps - 1)
-    return _kernels.chain_path(model._cumulative_rows, int(initial_state), uniforms)
+    rows = model._cumulative_rows
+    last = model.n_c - 1
+    state = int(initial_state)
+    path = [state]
+    append = path.append
+    for u in uniforms.tolist():
+        state = bisect_right(rows[state], u)
+        if state > last:
+            state = last
+        append(state)
+    return np.array(path, dtype=np.int64)
 
 
 def states_to_offsets(states: np.ndarray, model: CoarseModel) -> OffsetSeries:

@@ -43,8 +43,10 @@ class FineModel:
             raise ValueError("kernel taps must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.noise_halfwidth <= 0:
-            raise ValueError("noise_halfwidth must be positive")
+        if not 0 < self.noise_halfwidth < math.inf:
+            raise ValueError(
+                f"noise_halfwidth must be positive and finite, got {self.noise_halfwidth!r}"
+            )
         if self.cap_threshold <= 0:
             raise ValueError("cap_threshold must be positive")
         object.__setattr__(self, "kernel_taps", taps)

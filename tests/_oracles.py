@@ -1,7 +1,10 @@
 """Brute-force reference implementations, deliberately sharing no code
-with the package: plain Python loops, fsum, and manual order statistics."""
+with the package: plain Python loops, fsum, manual order statistics, and
+one numpy binary search per chain step."""
 
 import math
+
+import numpy as np
 
 
 def brute_force_quantile(values, q):
@@ -63,3 +66,16 @@ def brute_force_ks(sample_a, sample_b):
         fb = sum(1 for v in b if v <= point) / len(b)
         best = max(best, abs(fa - fb))
     return best
+
+
+def brute_force_chain_path(cum_rows, initial_state, uniforms):
+    """Sequential chain walk: per step, np.searchsorted (side="right") on
+    the current state's cumulative row, clamped to the last state."""
+    cum_rows = np.asarray(cum_rows, dtype=np.float64)
+    n_c = cum_rows.shape[0]
+    out = np.empty(len(uniforms) + 1, dtype=np.int64)
+    out[0] = state = initial_state
+    for i, u in enumerate(uniforms):
+        state = min(int(np.searchsorted(cum_rows[state], u, side="right")), n_c - 1)
+        out[i + 1] = state
+    return out

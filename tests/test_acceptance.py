@@ -9,9 +9,7 @@ import json
 import time
 
 import numpy as np
-import pytest
 
-from laneweave import _kernels
 from laneweave.cli import RunConfig, bench_generation, main
 from laneweave.core import seed_children
 from laneweave.evaluation import (
@@ -47,7 +45,6 @@ def _report(criterion: int, passed: bool, detail: str) -> None:
 
 def test_criterion_01_generation_speed(reference_model):
     """An 18000-step profile must generate in at most 1 s single-threaded."""
-    _kernels.warmup()
     generate_profile(reference_model, 0.0, 3600.0, 0)  # warm path end to end
     wall = min(
         _timed(lambda r=r: generate_profile(reference_model, 0.0, 3600.0, r))
@@ -71,20 +68,14 @@ def _timed(fn) -> float:
 
 def test_criterion_02_offline_noise_saving(reference_model):
     """Full generation must cost measurably more than the drift alone."""
-    if not _kernels.HAS_NUMBA:
-        # The interpreter chain loop swings by ~10% run to run, an order of
-        # magnitude above the ~1.5% jitter share, so the sign of the paired
-        # difference is not resolvable on the fallback backend.
-        pytest.skip("offline-noise saving is asserted on the compiled backend")
-    rows = bench_generation(reference_model, 200_000, 5)
-    default = rows[0]  # first row is the active default backend
+    row = bench_generation(reference_model, 200_000, 5)
     _report(
         2,
-        default["saving_s"] > 0.0 and default["noise_s"] > 0.0,
-        f"backend={default['backend']}: full={default['full_s'] * 1e3:.2f} ms, "
-        f"coarse-only={default['coarse_s'] * 1e3:.2f} ms, "
-        f"paired saving={default['saving_s'] * 1e3:.2f} ms "
-        f"({default['saving_s'] / default['full_s']:.1%} of full)",
+        row["saving_s"] > 0.0 and row["noise_s"] > 0.0,
+        f"full={row['full_s'] * 1e3:.2f} ms, "
+        f"coarse-only={row['coarse_s'] * 1e3:.2f} ms, "
+        f"paired saving={row['saving_s'] * 1e3:.2f} ms "
+        f"({row['saving_s'] / row['full_s']:.1%} of full)",
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -191,6 +192,33 @@ class TestGenerate:
         )
         assert code == EXIT_SCHEMA
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("coarse", "transition", math.nan),
+            ("fine", "noise_halfwidth", math.nan),
+            ("params", "n_c", 20.0),
+            ("params", "smoothing_sigma", math.nan),
+        ],
+    )
+    def test_malformed_model_field_is_schema_error(
+        self, capsys, tmp_path, model_file, section, key, value
+    ):
+        doc = json.loads(model_file.read_text())
+        if key == "transition":
+            doc[section][key][0] = value
+        else:
+            doc[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        code = main(
+            ["generate", "--model", str(bad), "--x0", "0.0", "--duration", "10", "--out", str(out)]
+        )
+        assert code == EXIT_SCHEMA
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_writes_reports_for_requested_modes(self, tmp_path, model_file, tour_csv):
@@ -239,20 +267,23 @@ class TestEvaluate:
 
 
 class TestBench:
-    def test_reports_all_backends(self, capsys, model_file):
+    def test_reports_one_row(self, capsys, model_file):
+        capsys.readouterr()  # drop the fixture's output
         code = main(["bench", "--model", str(model_file), "--steps", "2000", "--reps", "2"])
         assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert "backend=numpy" in out
-        assert "speedup" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("full=")
+        assert "speedup" in lines[1]
+        assert "backend" not in lines[1]
 
     def test_bench_rows_have_timings(self, model_file):
-        rows = bench_generation(load_model(model_file), 2000, 2)
-        for row in rows:
-            assert row["full_s"] > 0.0
-            assert row["coarse_s"] > 0.0
-            assert row["noise_s"] > 0.0
-            assert "saving_s" in row
+        row = bench_generation(load_model(model_file), 2000, 2)
+        assert row["steps"] == 2000
+        assert row["full_s"] > 0.0
+        assert row["coarse_s"] > 0.0
+        assert row["noise_s"] > 0.0
+        assert "saving_s" in row
 
 
 class TestConfigResolution:
@@ -288,6 +319,16 @@ class TestConfigResolution:
 
         with pytest.raises(SchemaError, match="nc"):
             resolve_config(Args())
+
+    def test_invalid_model_parameter_is_argument_error(self, tmp_path, tour_csv):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"n_c": 20.0}))
+        out = tmp_path / "m.json"
+        code = main(
+            ["calibrate", "--input", str(tour_csv), "--out", str(out), "--config", str(config_file)]
+        )
+        assert code == EXIT_ARGUMENT
+        assert not out.exists()
 
     def test_defaults_match_model_params(self):
         config = RunConfig()

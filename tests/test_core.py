@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -85,6 +87,20 @@ class TestModelParams:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
+
+    @pytest.mark.parametrize("n_c", [20.0, True, "20"])
+    def test_n_c_must_be_integer(self, n_c):
+        with pytest.raises(TypeError, match="n_c"):
+            ModelParams(n_c=n_c)
+
+    def test_numpy_integer_n_c_accepted(self):
+        assert ModelParams(n_c=np.int64(12)).n_c == 12
+
+    @pytest.mark.parametrize("name", ["dt", "smoothing_sigma", "smoothing_support", "v_min"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_float_fields_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ModelParams(**{name: value})
 
     def test_consistent_rate_accepted(self):
         ModelParams(dt=0.1, sample_rate=10.0)

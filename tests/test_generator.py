@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from laneweave.core import ModelParams
 from laneweave.errors import ModelFormatError, NotCalibratedError
 from laneweave.generator import (
     TwoLevelModel,
+    atomic_write_text,
     coarse_profile,
     derive_streams,
     generate_profile,
@@ -144,6 +147,21 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="state_centers"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("coarse", "transition", ["a"] * 400),
+            ("coarse", "state_centers", {"a": 1}),
+            ("fine", "kernel_taps", {"a": 1}),
+            ("fine", "noise_halfwidth", [1.0]),
+        ],
+    )
+    def test_non_numeric_field_is_format_error(self, reference_model, section, key, value):
+        doc = model_to_dict(reference_model)
+        doc[section][key] = value
+        with pytest.raises(ModelFormatError):
+            model_from_dict(doc)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelFormatError, match="not found"):
             load_model(tmp_path / "nope.json")
@@ -174,6 +192,20 @@ class TestPersistence:
             "sample_rate",
         }
         assert len(doc["coarse"]["transition"]) == 400
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        path = tmp_path / "out.txt"
+        previous = os.umask(umask)
+        try:
+            atomic_write_text(path, "t,x\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert path.read_text() == "t,x\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
 
 
 def test_banded_transition_matches_hand_rows():
