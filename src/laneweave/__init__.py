@@ -9,7 +9,6 @@ paired snippet-metric protocol.
 
 from .core import (
     DriveLog,
-    DriveLogSample,
     ModelParams,
     OffsetSeries,
     relative_offset,
@@ -34,14 +33,11 @@ from .generator import (
 )
 from .markov import (
     CoarseModel,
-    SmoothingKernel,
     discretize,
     estimate_transitions,
     gaussian_kernel,
     sample_chain,
-    smooth,
     state_centers,
-    states_to_offsets,
 )
 from .noise import (
     FineModel,
@@ -60,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoarseModel",
     "DriveLog",
-    "DriveLogSample",
     "EvalMode",
     "EvaluationReport",
     "FineModel",
@@ -69,7 +64,6 @@ __all__ = [
     "ModelParams",
     "OffsetSeries",
     "Segment",
-    "SmoothingKernel",
     "SpectrumFit",
     "SyntheticSpec",
     "TwoLevelModel",
@@ -94,10 +88,8 @@ __all__ = [
     "sample_chain",
     "save_model",
     "simulate_drive_log",
-    "smooth",
     "split_snippets",
     "state_centers",
-    "states_to_offsets",
     "summarize",
     "__version__",
 ]

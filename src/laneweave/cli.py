@@ -10,22 +10,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .core import DriveLog, ModelParams, OffsetSeries
+from .core import DriveLog, ModelParams, OffsetSeries, RunConfig
 from .errors import (
     CalibrationError,
     EmptySeriesError,
     LaneweaveError,
     ModelFormatError,
     SchemaError,
+    SyntheticSpecError,
 )
 from .evaluation import EvalMode, run_mode, summarize
 from .generator import (
@@ -49,51 +51,21 @@ EXIT_FAILURE = 1
 
 CONFIG_ENV = "LANEWEAVE_CONFIG"
 CSV_COLUMNS = ("t", "dist_left", "dist_right", "v_lon")
+# ModelParams fields that describe the evaluated data, not the model
+DATA_FIELDS = ("v_min", "snippet_duration")
 
 
 class ArgumentUsageError(LaneweaveError):
     """Bad command-line argument values detected after parsing."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective knobs of a run: model parameters plus pipeline settings."""
-
-    n_c: int = 20
-    dt: float = 0.2
-    smoothing_sigma: float = 0.6
-    smoothing_support: float = 1.0
-    cap_threshold: float = 0.03
-    v_min: float = 40.0
-    sample_rate: float = 5.0
-    snippet_duration: float = 10.0
-    knot_count: int = 6
-    window_length: int = 256
-    jump_threshold: float = 0.25
-    guard_steps: int = 10
-
-    def model_params(self) -> ModelParams:
-        return ModelParams(
-            n_c=self.n_c,
-            dt=self.dt,
-            smoothing_sigma=self.smoothing_sigma,
-            smoothing_support=self.smoothing_support,
-            cap_threshold=self.cap_threshold,
-            v_min=self.v_min,
-            sample_rate=self.sample_rate,
-            snippet_duration=self.snippet_duration,
-        )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-_CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig)}
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Built-in defaults, overlaid by the config file, overlaid by flags."""
+def resolve_config(args: argparse.Namespace, base: ModelParams | None = None) -> RunConfig:
+    """Built-in defaults (or the given model parameters), overlaid by the
+    config file, overlaid by flags."""
     settings = asdict(RunConfig())
+    if base is not None:
+        settings.update(asdict(base))
+    names = {f.name for f in fields(RunConfig)}
     config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     if config_path:
         try:
@@ -105,18 +77,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(document, dict):
             raise SchemaError("config file must hold a JSON object")
         for key, value in document.items():
-            if key not in _CONFIG_FIELDS:
+            if key not in names:
                 raise SchemaError(f"unknown config key {key!r}")
             settings[key] = value
-    for key in _CONFIG_FIELDS:
+    for key in names:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
     try:
-        config = RunConfig(**settings)
-        config.model_params()  # validates the model parameters up front
-        return config
-    except (TypeError, ValueError) as exc:
+        return RunConfig(**settings)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ArgumentUsageError(f"invalid configuration: {exc}") from None
 
 
@@ -164,13 +134,20 @@ def read_drive_log_csv(path) -> DriveLog:
                     column=name,
                     row=row_number,
                 ) from None
-        if previous_t is not None and columns[0][-1] <= previous_t:
+        t = columns[0][-1]
+        if not math.isfinite(t):
+            raise SchemaError(
+                f"{path}: row {row_number}: timestamp {t!r} is not finite",
+                column="t",
+                row=row_number,
+            )
+        if previous_t is not None and t <= previous_t:
             raise SchemaError(
                 f"{path}: row {row_number}: timestamps must be strictly increasing",
                 column="t",
                 row=row_number,
             )
-        previous_t = columns[0][-1]
+        previous_t = t
 
     return DriveLog(
         t=columns[0],
@@ -200,7 +177,6 @@ def format_profile_csv(series: OffsetSeries) -> str:
 
 
 def ingest_segments(paths, config: RunConfig) -> list[Segment]:
-    params = config.model_params()
     segments: list[Segment] = []
     for path in paths:
         log = read_drive_log_csv(path)
@@ -208,7 +184,7 @@ def ingest_segments(paths, config: RunConfig) -> list[Segment]:
         segments.extend(
             extract_segments(
                 track,
-                params,
+                config,
                 jump_threshold=config.jump_threshold,
                 guard_steps=config.guard_steps,
             )
@@ -329,8 +305,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     if not -0.5 <= args.x0 <= 0.5:
         raise ArgumentUsageError(f"--x0 must lie in [-0.5, 0.5], got {args.x0}")
-    if args.duration < model.params.dt:
-        raise ArgumentUsageError("--duration must cover at least one step")
+    if not model.params.dt <= args.duration < math.inf:
+        raise ArgumentUsageError("--duration must be finite and cover at least one step")
     profile = generate_profile(model, args.x0, args.duration, args.seed)
     atomic_write_text(args.out, format_profile_csv(profile))
     print(f"wrote {len(profile)} steps to {args.out} (seed={args.seed})")
@@ -339,7 +315,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    config = resolve_config(args)
+    config = resolve_config(args, model.params)
+    mismatched = [
+        f.name
+        for f in fields(ModelParams)
+        if f.name not in DATA_FIELDS and getattr(config, f.name) != getattr(model.params, f.name)
+    ]
+    if mismatched:
+        raise ArgumentUsageError(
+            f"{', '.join(mismatched)} must match the model; evaluation takes them from it"
+        )
     modes = []
     for name in args.modes.split(","):
         try:
@@ -350,7 +335,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for mode in modes:
-        report = run_mode(mode, segments, model, args.seed)
+        report = run_mode(
+            mode, segments, model, args.seed, snippet_duration=config.snippet_duration
+        )
         document = report.to_dict()
         document["config"] = config.to_dict()
         atomic_write_text(out_dir / f"report_{mode.value}.json", json.dumps(document, indent=2) + "\n")
@@ -365,9 +352,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    for flag, value in (("--minutes", args.minutes), ("--lane-width", args.lane_width)):
+        if not 0 < value < math.inf:
+            raise ArgumentUsageError(f"{flag} must be positive and finite, got {value}")
     spec = SyntheticSpec(
-        n_c=args.n_c if args.n_c is not None else 20,
-        dt=args.dt if args.dt is not None else 0.2,
+        n_c=args.n_c,
+        dt=args.dt,
         family=args.family,
         stay_probability=args.p,
         kernel=args.kernel,
@@ -408,18 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_config_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help=f"JSON config file (or set {CONFIG_ENV})")
-        p.add_argument("--n-c", dest="n_c", type=int)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--smoothing-sigma", dest="smoothing_sigma", type=float)
-        p.add_argument("--smoothing-support", dest="smoothing_support", type=float)
-        p.add_argument("--cap-threshold", dest="cap_threshold", type=float)
-        p.add_argument("--v-min", dest="v_min", type=float)
-        p.add_argument("--sample-rate", dest="sample_rate", type=float)
-        p.add_argument("--snippet-duration", dest="snippet_duration", type=float)
-        p.add_argument("--knot-count", dest="knot_count", type=int)
-        p.add_argument("--window-length", dest="window_length", type=int)
-        p.add_argument("--jump-threshold", dest="jump_threshold", type=float)
-        p.add_argument("--guard-steps", dest="guard_steps", type=int)
+        for f in fields(RunConfig):
+            p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=type(f.default))
 
     p = sub.add_parser("calibrate", help="fit a model from tour CSVs")
     p.add_argument("--input", nargs="+", required=True, metavar="CSV")
@@ -445,14 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="simulate a tour CSV from a ground-truth model")
-    p.add_argument("--family", default="banded", help="banded | uniform | identity")
+    p.add_argument("--family", default="banded", choices=("banded", "uniform", "identity"))
     p.add_argument("--p", type=float, default=0.9, help="banded stay probability")
-    p.add_argument("--kernel", default="reference", help="reference | zero | identity")
+    p.add_argument("--kernel", default="reference", choices=("reference", "zero", "identity"))
     p.add_argument("--minutes", type=float, default=50.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lane-width", dest="lane_width", type=float, default=3.6)
-    p.add_argument("--n-c", dest="n_c", type=int)
-    p.add_argument("--dt", type=float)
+    p.add_argument("--n-c", dest="n_c", type=int, default=ModelParams.n_c)
+    p.add_argument("--dt", type=float, default=ModelParams.dt)
     p.add_argument("--out", required=True, help="tour CSV destination")
     p.add_argument("--model-out", dest="model_out", help="also write the ground-truth model")
     p.set_defaults(func=cmd_synth)
@@ -470,7 +450,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ArgumentUsageError as exc:
+    except (ArgumentUsageError, SyntheticSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGUMENT
     except (SchemaError, ModelFormatError) as exc:

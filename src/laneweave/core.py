@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Iterable, Union
+from dataclasses import asdict, dataclass, field, fields
+from typing import Union
 
 import numpy as np
 
@@ -64,6 +64,35 @@ class ModelParams:
             )
 
 
+@dataclass(frozen=True)
+class RunConfig(ModelParams):
+    """Effective knobs of a run: model parameters plus pipeline settings."""
+
+    knot_count: int = 6
+    window_length: int = 256
+    jump_threshold: float = 0.25
+    guard_steps: int = 10
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name, low in (("knot_count", 2), ("window_length", 2), ("guard_steps", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        if not 0 < self.jump_threshold < math.inf:
+            raise ValueError(
+                f"jump_threshold must be positive and finite, got {self.jump_threshold!r}"
+            )
+
+    def model_params(self) -> ModelParams:
+        return ModelParams(**{f.name: getattr(self, f.name) for f in fields(ModelParams)})
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 @dataclass(frozen=True, eq=False)
 class OffsetSeries:
     """Uniformly sampled relative lateral positions, one value per step."""
@@ -90,17 +119,6 @@ class OffsetSeries:
         return np.arange(self.values.size) * self.dt
 
 
-@dataclass(frozen=True)
-class DriveLogSample:
-    """One raw recorder sample: marking distances in meters, velocity in km/h."""
-
-    t: float
-    dist_left: float
-    dist_right: float
-    v_lon: float
-    lane_id: int | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class DriveLog:
     """Columnar drive log of one recorded tour. lane_id is NaN where unknown."""
@@ -125,19 +143,6 @@ class DriveLog:
 
     def __len__(self) -> int:
         return self.t.size
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[DriveLogSample], tour_id: str = "") -> "DriveLog":
-        samples = list(samples)
-        lane = [np.nan if s.lane_id is None else float(s.lane_id) for s in samples]
-        return cls(
-            t=[s.t for s in samples],
-            dist_left=[s.dist_left for s in samples],
-            dist_right=[s.dist_right for s in samples],
-            v_lon=[s.v_lon for s in samples],
-            lane_id=lane,
-            tour_id=tour_id,
-        )
 
     def valid_mask(self) -> np.ndarray:
         """True where the sample yields a usable lane position."""

@@ -34,10 +34,6 @@ class CalibrationError(LaneweaveError):
     """Calibration cannot proceed on the given data."""
 
 
-class NotCalibratedError(CalibrationError):
-    """An operation requires a model component that has not been fitted."""
-
-
 class ModelFormatError(LaneweaveError):
     """A model file is unreadable, unsupported, or violates an invariant."""
 

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import OffsetSeries, seed_children
-from .errors import EvaluationError, MetricError, NotCalibratedError
+from .errors import EvaluationError, MetricError
 from .generator import TwoLevelModel, coarse_profile, generate_profile
 from .markov import discretize
 from .noise import generate_noise, measured_coarse
@@ -206,8 +206,6 @@ def run_mode(
     params = model.params
     duration = params.snippet_duration if snippet_duration is None else snippet_duration
     w = _window_steps(duration, params.dt)
-    if mode in (EvalMode.FINE_ONLY, EvalMode.FULL) and model.fine is None:
-        raise NotCalibratedError(f"{mode.value} evaluation needs a fitted fine model")
 
     prepared = []
     for seg in real_segments:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ModelParams, OffsetSeries, SeedLike, seed_children
-from .errors import ModelFormatError, NotCalibratedError
+from .errors import ModelFormatError
 from .markov import CoarseModel, discretize, sample_chain, smooth_values, state_centers
 from .noise import FineModel, generate_noise
 
@@ -31,15 +31,11 @@ _PARAM_FILE_FIELDS = (
 
 @dataclass(frozen=True, eq=False)
 class TwoLevelModel:
-    """Calibrated pair of drift and jitter models plus provenance metadata.
-
-    fine may be None while only the coarse side has been calibrated;
-    operations that need the jitter model raise NotCalibratedError then.
-    """
+    """Calibrated pair of drift and jitter models plus provenance metadata."""
 
     params: ModelParams
     coarse: CoarseModel
-    fine: FineModel | None = None
+    fine: FineModel
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -47,7 +43,7 @@ class TwoLevelModel:
             raise ValueError("coarse model and params disagree on n_c")
         if abs(self.coarse.dt - self.params.dt) > 1e-12:
             raise ValueError("coarse model and params disagree on dt")
-        if self.fine is not None and abs(self.fine.dt - self.params.dt) > 1e-12:
+        if abs(self.fine.dt - self.params.dt) > 1e-12:
             raise ValueError("fine model and params disagree on dt")
 
 
@@ -81,8 +77,6 @@ def generate_profile(
         raise ValueError(f"initial offset {initial_offset!r} outside [-0.5, 0.5]")
     if duration < params.dt:
         raise ValueError("duration must cover at least one step")
-    if model.fine is None:
-        raise NotCalibratedError("fine model not fitted; cannot generate a full profile")
     n_steps = max(1, int(round(duration / params.dt)))
     rng_coarse, rng_fine = derive_streams(seed)
     drift = coarse_profile(model, discretize(initial_offset, params.n_c), n_steps, rng_coarse)
@@ -114,8 +108,6 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def model_to_dict(model: TwoLevelModel) -> dict:
-    if model.fine is None:
-        raise NotCalibratedError("fine model not fitted; model file requires both levels")
     params = model.params
     return {
         "version": FORMAT_VERSION,

@@ -11,7 +11,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import OffsetSeries, SeedLike, as_generator
+from .core import SeedLike, as_generator
 from .errors import CalibrationError
 
 ROW_SUM_TOL = 1e-9
@@ -35,32 +35,9 @@ def discretize(x, n_c: int):
     return idx
 
 
-@dataclass(frozen=True, eq=False)
-class SmoothingKernel:
-    """Odd-length, symmetric, nonnegative taps summing to one."""
-
-    taps: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=np.float64)
-        if taps.ndim != 1 or taps.size % 2 == 0:
-            raise ValueError("kernel taps must be a 1-D odd-length array")
-        if np.any(taps < 0):
-            raise ValueError("kernel taps must be nonnegative")
-        if abs(taps.sum() - 1.0) > 1e-12:
-            raise ValueError(f"kernel taps must sum to 1, got {taps.sum()!r}")
-        if not np.allclose(taps, taps[::-1], rtol=0.0, atol=1e-12):
-            raise ValueError("kernel taps must be symmetric about the center")
-        object.__setattr__(self, "taps", taps)
-
-    @property
-    def half_width(self) -> int:
-        return self.taps.size // 2
-
-
-def gaussian_kernel(sigma: float, support: float, dt: float) -> SmoothingKernel:
-    """Zero-mean Gaussian sampled at step offsets, cut at +-support, normalized."""
+def gaussian_kernel(sigma: float, support: float, dt: float) -> np.ndarray:
+    """Odd-length, symmetric taps summing to one: a zero-mean Gaussian
+    sampled at step offsets and cut at +-support."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if support < dt:
@@ -68,7 +45,7 @@ def gaussian_kernel(sigma: float, support: float, dt: float) -> SmoothingKernel:
     m = int(round(support / dt))
     offsets = np.arange(-m, m + 1) * dt
     taps = np.exp(-(offsets**2) / (2.0 * sigma**2))
-    return SmoothingKernel(taps / taps.sum(), dt)
+    return taps / taps.sum()
 
 
 def smooth_values(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -82,10 +59,6 @@ def smooth_values(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
     num = np.convolve(values, taps, mode="full")[half : half + values.size]
     den = np.convolve(np.ones(values.size), taps, mode="full")[half : half + values.size]
     return num / den
-
-
-def smooth(series: OffsetSeries, kernel: SmoothingKernel) -> OffsetSeries:
-    return OffsetSeries(series.dt, smooth_values(series.values, kernel.taps))
 
 
 def count_transitions(state_segments: Iterable[np.ndarray], n_c: int) -> np.ndarray:
@@ -152,14 +125,11 @@ class CoarseModel:
 
     @cached_property
     def smoothing_taps(self) -> np.ndarray:
-        return gaussian_kernel(self.smoothing_sigma, self.smoothing_support, self.dt).taps
+        return gaussian_kernel(self.smoothing_sigma, self.smoothing_support, self.dt)
 
     @cached_property
     def _cumulative_rows(self) -> list[list[float]]:
         return np.cumsum(self.transition, axis=1).tolist()
-
-    def kernel(self) -> SmoothingKernel:
-        return SmoothingKernel(self.smoothing_taps, self.dt)
 
 
 def sample_chain(model: CoarseModel, initial_state: int, n_steps: int, rng: SeedLike) -> np.ndarray:
@@ -187,10 +157,3 @@ def sample_chain(model: CoarseModel, initial_state: int, n_steps: int, rng: Seed
         append(state)
     return np.array(path, dtype=np.int64)
 
-
-def states_to_offsets(states: np.ndarray, model: CoarseModel) -> OffsetSeries:
-    """Stepwise offset track holding each state's bin-center position."""
-    states = np.asarray(states, dtype=np.int64)
-    if states.size and (states.min() < 0 or states.max() >= model.n_c):
-        raise ValueError("state index out of range")
-    return OffsetSeries(model.dt, model.state_centers[states])

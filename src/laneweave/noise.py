@@ -16,8 +16,9 @@ from .markov import discretize, gaussian_kernel, smooth_values, state_centers
 
 DEFAULT_KNOT_COUNT = 6
 DEFAULT_WINDOW_LENGTH = 256
-DEFAULT_OVERLAP = 0.5
+OVERLAP = 0.5  # fraction shared by consecutive spectral windows
 KERNEL_HALF_SUPPORT = 2.0  # seconds
+DENSE_SIZE = 4096  # response samples behind kernel_from_damping
 
 
 def _values(series) -> np.ndarray:
@@ -90,30 +91,20 @@ class SpectrumFit:
         return np.interp(frequencies, self.knot_frequencies, self.knot_values)
 
 
-def measured_coarse(series, params: ModelParams, *, grid: str = "bins") -> OffsetSeries:
-    """Smoothed stepwise track underlying a measured series.
-
-    grid="bins" snaps values to the bin-center grid the chain lives on;
-    grid="double" rounds to multiples of 2/n_c instead, kept selectable
-    because both snapping conventions are in circulation.
-    """
+def measured_coarse(series, params: ModelParams) -> OffsetSeries:
+    """Smoothed stepwise track underlying a measured series: values are
+    snapped to the bin-center grid the chain lives on, then smoothed."""
     x = _values(series)
-    if grid == "bins":
-        snapped = state_centers(params.n_c)[discretize(x, params.n_c)]
-    elif grid == "double":
-        width = 2.0 / params.n_c
-        snapped = np.round(x / width) * width
-    else:
-        raise ValueError(f"unknown snapping grid {grid!r}; use 'bins' or 'double'")
-    taps = gaussian_kernel(params.smoothing_sigma, params.smoothing_support, params.dt).taps
+    snapped = state_centers(params.n_c)[discretize(x, params.n_c)]
+    taps = gaussian_kernel(params.smoothing_sigma, params.smoothing_support, params.dt)
     return OffsetSeries(params.dt, smooth_values(snapped, taps))
 
 
-def extract_fine(x_meas, params: ModelParams, *, grid: str = "bins") -> OffsetSeries:
+def extract_fine(x_meas, params: ModelParams) -> OffsetSeries:
     """Residual of a measured series after removing its snapped-and-smoothed
     coarse track. Adding the two back reproduces the input exactly."""
     x = _values(x_meas)
-    coarse = measured_coarse(x, params, grid=grid)
+    coarse = measured_coarse(x, params)
     return OffsetSeries(params.dt, x - coarse.values)
 
 
@@ -128,19 +119,18 @@ def cap(phi: OffsetSeries, threshold: float) -> OffsetSeries:
 def average_magnitude_spectrum(
     segments: Sequence,
     window_length: int = DEFAULT_WINDOW_LENGTH,
-    overlap: float = DEFAULT_OVERLAP,
     *,
     dt: float,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Mean rFFT magnitude over fixed rectangular windows.
 
-    Windows advance by window_length * (1 - overlap) samples and never
+    Windows advance by window_length * (1 - OVERLAP) samples and never
     span a boundary between segments. Returns (frequencies, magnitude,
     window count).
     """
     if window_length < 2:
         raise ValueError("window_length must be >= 2")
-    hop = max(1, int(round(window_length * (1.0 - overlap))))
+    hop = max(1, int(round(window_length * (1.0 - OVERLAP))))
     acc = np.zeros(window_length // 2 + 1)
     count = 0
     for seg in segments:
@@ -165,24 +155,17 @@ def uniform_noise_floor(halfwidth: float, window_length: int) -> float:
     return halfwidth * math.sqrt(math.pi * window_length / 12.0)
 
 
-def kernel_from_damping(
-    knot_frequencies,
-    knot_values,
-    dt: float,
-    *,
-    half_support: float = KERNEL_HALF_SUPPORT,
-    dense_size: int = 4096,
-) -> np.ndarray:
+def kernel_from_damping(knot_frequencies, knot_values, dt: float) -> np.ndarray:
     """Finite symmetric taps realizing a piecewise-linear magnitude response.
 
     The response is sampled on a dense grid, inverse-transformed with zero
-    phase, truncated to +-half_support seconds, and cosine-tapered over the
-    outer quarter so the cut ends reach zero.
+    phase, truncated to +-KERNEL_HALF_SUPPORT seconds, and cosine-tapered
+    over the outer quarter so the cut ends reach zero.
     """
-    freqs = np.fft.rfftfreq(dense_size, dt)
+    freqs = np.fft.rfftfreq(DENSE_SIZE, dt)
     magnitude = np.interp(freqs, knot_frequencies, knot_values)
     impulse = np.fft.irfft(magnitude)
-    half = int(round(half_support / dt))
+    half = int(round(KERNEL_HALF_SUPPORT / dt))
     taps = np.concatenate([impulse[-half:], impulse[: half + 1]])
     ramp_len = max(2, taps.size // 4)
     ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp_len) / ramp_len))
@@ -206,7 +189,6 @@ def fit_kernel(
     params: ModelParams,
     knot_count: int = DEFAULT_KNOT_COUNT,
     window_length: int = DEFAULT_WINDOW_LENGTH,
-    overlap: float = DEFAULT_OVERLAP,
 ) -> tuple[FineModel, SpectrumFit]:
     """Fit the shaping kernel to capped residual segments.
 
@@ -226,7 +208,7 @@ def fit_kernel(
             f"across {len(seg_values)} segments, need at least {required}"
         )
     freqs, measured, n_windows = average_magnitude_spectrum(
-        seg_values, window_length, overlap, dt=params.dt
+        seg_values, window_length, dt=params.dt
     )
     floor = uniform_noise_floor(params.cap_threshold, window_length)
     ratio = measured / floor

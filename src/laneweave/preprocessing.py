@@ -4,11 +4,10 @@ segments usable for calibration and evaluation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .core import DriveLog, DriveLogSample, ModelParams, OffsetSeries, relative_offset
+from .core import DriveLog, ModelParams, OffsetSeries, relative_offset
 from .errors import EmptySeriesError
 
 DEFAULT_JUMP_THRESHOLD = 0.25
@@ -43,7 +42,7 @@ class Segment:
         return len(self.series)
 
 
-def resample(log: DriveLog | Iterable[DriveLogSample], target_rate: float) -> ResampledTrack:
+def resample(log: DriveLog, target_rate: float) -> ResampledTrack:
     """Linear interpolation of offset and velocity onto the grid t0 + i/rate.
 
     Grid points beyond the last source timestamp are not emitted. A grid
@@ -52,8 +51,6 @@ def resample(log: DriveLog | Iterable[DriveLogSample], target_rate: float) -> Re
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
-    if not isinstance(log, DriveLog):
-        log = DriveLog.from_samples(log)
     valid_src = log.valid_mask()
     n_valid = int(valid_src.sum())
     if n_valid < 2:

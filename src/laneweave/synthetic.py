@@ -61,7 +61,10 @@ def reference_kernel_taps(params: ModelParams) -> np.ndarray:
 
 def make_model(spec: SyntheticSpec) -> TwoLevelModel:
     """Deterministic ground-truth model for the given recipe."""
-    params = ModelParams(n_c=spec.n_c, dt=spec.dt, sample_rate=1.0 / spec.dt)
+    try:
+        params = ModelParams(n_c=spec.n_c, dt=spec.dt, sample_rate=1.0 / spec.dt)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SyntheticSpecError(f"invalid model parameters: {exc}") from None
 
     if spec.family == "banded":
         transition = banded_transition(spec.n_c, spec.stay_probability)

@@ -1,14 +1,17 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laneweave.cli import (
     EXIT_ARGUMENT,
     EXIT_CALIBRATION,
     EXIT_OK,
     EXIT_SCHEMA,
+    ArgumentUsageError,
     RunConfig,
     bench_generation,
     main,
@@ -104,6 +107,29 @@ class TestCalibrate:
         path.write_text("t,dist_left,dist_right,v_lon\n0.0,1.8,1.8,80\n0.0,1.8,1.8,80\n")
         with pytest.raises(SchemaError, match="row 2"):
             read_drive_log_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, bad_row",
+        [
+            (["nan,1.8,1.8,80", "0.2,1.8,1.8,80"], 1),
+            (["0.0,1.8,1.8,80", "nan,1.8,1.8,80"], 2),
+            (["0.0,1.8,1.8,80", "0.2,1.8,1.8,80", "inf,1.8,1.8,80"], 3),
+            (["-inf,1.8,1.8,80", "0.2,1.8,1.8,80"], 1),
+        ],
+    )
+    def test_non_finite_timestamp_is_schema_error(self, tmp_path, rows, bad_row):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,dist_left,dist_right,v_lon\n" + "\n".join(rows) + "\n")
+        with pytest.raises(SchemaError) as info:
+            read_drive_log_csv(path)
+        assert (info.value.column, info.value.row) == ("t", bad_row)
+        assert main(["calibrate", "--input", str(path), "--out", str(tmp_path / "m.json")]) == EXIT_SCHEMA
+
+    def test_non_finite_distance_and_velocity_parse(self, tmp_path):
+        path = tmp_path / "dropouts.csv"
+        path.write_text("t,dist_left,dist_right,v_lon\n0.0,nan,1.8,80\n0.2,1.8,1.8,inf\n")
+        log = read_drive_log_csv(path)
+        assert np.isnan(log.dist_left[0]) and np.isinf(log.v_lon[1])
 
     def test_negative_distance_row_survives_calibration(self, tmp_path, tour_csv):
         lines = tour_csv.read_text().splitlines()
@@ -266,6 +292,73 @@ class TestEvaluate:
         assert code == EXIT_ARGUMENT
 
 
+    def test_snippet_duration_is_honoured(self, tmp_path, model_file, tour_csv):
+        out_dir = tmp_path / "r"
+        args = ["evaluate", "--model", str(model_file), "--input", str(tour_csv)]
+        args += ["--modes", "shift", "--snippet-duration", "20", "--out", str(out_dir)]
+        assert main(args) == EXIT_OK
+        document = json.loads((out_dir / "report_shift.json").read_text())
+        assert document["snippet_count"] == 30  # 60 at the default 10 s
+        assert document["config"]["snippet_duration"] == 20.0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--n-c", "7"],
+            ["--cap-threshold", "0.5"],
+            ["--smoothing-sigma", "0.5"],
+            ["--smoothing-support", "1.2"],
+            ["--dt", "0.1", "--sample-rate", "10"],
+        ],
+    )
+    def test_model_field_override_is_argument_error(
+        self, capsys, tmp_path, model_file, tour_csv, flags
+    ):
+        out_dir = tmp_path / "r"
+        args = ["evaluate", "--model", str(model_file), "--input", str(tour_csv)]
+        assert main(args + flags + ["--out", str(out_dir)]) == EXIT_ARGUMENT
+        assert "must match the model" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_model_fields_come_from_the_model(self, tmp_path, tour_csv):
+        model = tmp_path / "m10.json"
+        args = ["calibrate", "--input", str(tour_csv), "--out", str(model)]
+        assert main(args + ["--dt", "0.1", "--sample-rate", "10"]) == EXIT_OK
+        out_dir = tmp_path / "r"
+        args = ["evaluate", "--model", str(model), "--input", str(tour_csv)]
+        assert main(args + ["--modes", "shift", "--out", str(out_dir)]) == EXIT_OK
+        config = json.loads((out_dir / "report_shift.json").read_text())["config"]
+        assert (config["dt"], config["sample_rate"]) == (0.1, 10.0)
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--family", "explicit"],
+            ["synth", "--kernel", "given"],
+            ["synth", "--dt", "0"],
+            ["synth", "--n-c", "1"],
+            ["synth", "--p", "1.5"],
+            ["synth", "--minutes", "0"],
+            ["synth", "--minutes", "-5"],
+            ["synth", "--lane-width", "0"],
+            ["generate", "--x0", "0", "--duration", "nan"],
+            ["generate", "--x0", "0", "--duration", "inf"],
+        ],
+    )
+    def test_exit_2(self, request, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        if argv[0] == "generate":
+            argv = argv + ["--model", str(request.getfixturevalue("model_file"))]
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exc:  # argparse rejects a bad choice itself
+            code = exc.code
+        assert code == EXIT_ARGUMENT
+        assert not out.exists()
+
+
 class TestBench:
     def test_reports_one_row(self, capsys, model_file):
         capsys.readouterr()  # drop the fixture's output
@@ -329,6 +422,53 @@ class TestConfigResolution:
         )
         assert code == EXIT_ARGUMENT
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, document",
+        [
+            (["--knot-count", "1"], None),
+            (["--window-length", "1"], None),
+            (["--guard-steps", "-3"], None),
+            (["--jump-threshold", "nan"], None),
+            ([], {"knot_count": "6"}),
+            ([], {"guard_steps": 2.5}),
+            ([], {"window_length": True}),
+            ([], {"jump_threshold": 0}),
+        ],
+    )
+    def test_invalid_run_setting_is_argument_error(self, tmp_path, tour_csv, flags, document):
+        if document is not None:
+            config_file = tmp_path / "config.json"
+            config_file.write_text(json.dumps(document))
+            flags = flags + ["--config", str(config_file)]
+        out = tmp_path / "m.json"
+        code = main(["calibrate", "--input", str(tour_csv), "--out", str(out)] + flags)
+        assert code == EXIT_ARGUMENT
+        assert not out.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        document=st.dictionaries(
+            st.sampled_from([f.name for f in fields(RunConfig)]),
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.integers(-(2**1100), 2**1100)  # beyond float range too
+            | st.floats()
+            | st.text(max_size=8),
+        )
+    )
+    def test_any_config_document_resolves_or_is_rejected(self, tmp_path_factory, document):
+        config_file = tmp_path_factory.getbasetemp() / "property_config.json"
+        config_file.write_text(json.dumps(document))
+
+        class Args:
+            config = str(config_file)
+
+        try:
+            assert isinstance(resolve_config(Args()), RunConfig)
+        except (ArgumentUsageError, SchemaError):
+            pass
 
     def test_defaults_match_model_params(self):
         config = RunConfig()

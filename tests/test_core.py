@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from laneweave.core import (
     DriveLog,
-    DriveLogSample,
     ModelParams,
     OffsetSeries,
     relative_offset,
@@ -124,16 +123,6 @@ class TestOffsetSeries:
 
 
 class TestDriveLog:
-    def test_from_samples(self):
-        samples = [
-            DriveLogSample(t=0.0, dist_left=1.8, dist_right=1.8, v_lon=100.0),
-            DriveLogSample(t=0.1, dist_left=1.9, dist_right=1.7, v_lon=101.0, lane_id=2),
-        ]
-        log = DriveLog.from_samples(samples, tour_id="demo")
-        assert len(log) == 2
-        assert np.isnan(log.lane_id[0]) and log.lane_id[1] == 2.0
-        assert log.tour_id == "demo"
-
     def test_timestamps_must_increase(self):
         with pytest.raises(ValueError):
             DriveLog(t=[0.0, 0.0], dist_left=[1, 1], dist_right=[1, 1], v_lon=[50, 50])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from laneweave.core import OffsetSeries
-from laneweave.errors import EvaluationError, MetricError, NotCalibratedError
+from laneweave.errors import EvaluationError, MetricError
 from laneweave.evaluation import (
     METRIC_NAMES,
     EvalMode,
@@ -208,15 +208,6 @@ class TestRunMode:
             assert report.snippet_count >= 250
             assert set(report.ks) == set(METRIC_NAMES)
 
-    def test_fine_modes_need_fitted_model(self, reference_model):
-        partial = TwoLevelModel(reference_model.params, reference_model.coarse, None)
-        segments = [segment(np.zeros(100))]
-        for mode in (EvalMode.FINE_ONLY, EvalMode.FULL):
-            with pytest.raises(NotCalibratedError):
-                run_mode(mode, segments, partial, 0)
-        # shift and coarse modes still work without the fine side
-        run_mode(EvalMode.SHIFT_TEST, segments, partial, 0)
-        run_mode(EvalMode.COARSE_ONLY, segments, partial, 0)
 
     def test_no_snippets_is_an_error(self, reference_model):
         with pytest.raises(EvaluationError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from laneweave.core import ModelParams
-from laneweave.errors import ModelFormatError, NotCalibratedError
+from laneweave.errors import ModelFormatError
 from laneweave.generator import (
     TwoLevelModel,
     atomic_write_text,
@@ -79,12 +79,6 @@ class TestGenerateProfile:
             generate_profile(reference_model, 0.6, 10.0, 0)
         with pytest.raises(ValueError):
             generate_profile(reference_model, 0.0, 0.05, 0)
-
-    def test_requires_fine_model(self, reference_model):
-        partial = TwoLevelModel(reference_model.params, reference_model.coarse, None)
-        with pytest.raises(NotCalibratedError):
-            generate_profile(partial, 0.0, 10.0, 0)
-
 
 class TestModelConsistency:
     def test_n_c_mismatch_rejected(self, reference_model):
@@ -171,11 +165,6 @@ class TestPersistence:
         path.write_text("{broken")
         with pytest.raises(ModelFormatError, match="JSON"):
             load_model(path)
-
-    def test_saving_coarse_only_model_refused(self, reference_model, tmp_path):
-        partial = TwoLevelModel(reference_model.params, reference_model.coarse, None)
-        with pytest.raises(NotCalibratedError):
-            save_model(partial, tmp_path / "model.json")
 
     def test_file_is_valid_json_document(self, reference_model, tmp_path):
         path = tmp_path / "model.json"

@@ -7,18 +7,14 @@ from hypothesis import given, strategies as st
 from laneweave.errors import CalibrationError
 from laneweave.markov import (
     CoarseModel,
-    SmoothingKernel,
     count_transitions,
     discretize,
     estimate_transitions,
     gaussian_kernel,
     sample_chain,
-    smooth,
     smooth_values,
     state_centers,
-    states_to_offsets,
 )
-from laneweave.core import OffsetSeries
 from laneweave.synthetic import banded_transition
 
 from _oracles import brute_force_smooth
@@ -62,43 +58,38 @@ class TestDiscretize:
 
 class TestStateCenters:
     def test_first_center(self):
-        assert states_to_offsets([0], _model(np.eye(20))).values[0] == pytest.approx(-0.475)
+        assert state_centers(20)[0] == pytest.approx(-0.475)
 
     def test_last_center(self):
-        assert states_to_offsets([19], _model(np.eye(20))).values[0] == pytest.approx(0.475)
+        assert state_centers(20)[19] == pytest.approx(0.475)
 
     def test_middle_center(self):
-        out = states_to_offsets([10, 10], _model(np.eye(20)))
-        assert np.allclose(out.values, [0.025, 0.025])
+        assert np.allclose(state_centers(20)[[10, 10]], [0.025, 0.025])
 
     def test_centers_increasing_within_range(self):
         centers = state_centers(20)
         assert np.all(np.diff(centers) > 0)
         assert centers[0] > -0.5 and centers[-1] < 0.5
 
-    def test_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            states_to_offsets([20], _model(np.eye(20)))
-
 
 class TestGaussianKernel:
     def test_tap_count_and_sum(self):
-        kernel = gaussian_kernel(0.6, 1.0, 0.2)
-        assert kernel.taps.size == 11
-        assert abs(kernel.taps.sum() - 1.0) <= 1e-12
+        taps = gaussian_kernel(0.6, 1.0, 0.2)
+        assert taps.size == 11
+        assert abs(taps.sum() - 1.0) <= 1e-12
 
     def test_center_is_maximum(self):
-        kernel = gaussian_kernel(0.6, 1.0, 0.2)
-        assert kernel.taps.argmax() == kernel.half_width
+        taps = gaussian_kernel(0.6, 1.0, 0.2)
+        assert taps.argmax() == taps.size // 2
 
     def test_edge_to_center_ratio(self):
-        kernel = gaussian_kernel(0.6, 1.0, 0.2)
-        ratio = kernel.taps[0] / kernel.taps[kernel.half_width]
+        taps = gaussian_kernel(0.6, 1.0, 0.2)
+        ratio = taps[0] / taps[taps.size // 2]
         assert ratio == pytest.approx(math.exp(-1.0 / (2 * 0.36)), abs=1e-12)
 
     def test_symmetry(self):
-        kernel = gaussian_kernel(0.45, 1.4, 0.2)
-        assert np.allclose(kernel.taps, kernel.taps[::-1], atol=0)
+        taps = gaussian_kernel(0.45, 1.4, 0.2)
+        assert np.allclose(taps, taps[::-1], atol=0)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -107,62 +98,46 @@ class TestGaussianKernel:
             gaussian_kernel(0.5, 0.1, 0.2)
 
 
-class TestSmoothingKernelValidation:
-    def test_rejects_even_length(self):
-        with pytest.raises(ValueError):
-            SmoothingKernel(np.full(4, 0.25), 0.2)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            SmoothingKernel(np.full(5, 0.3), 0.2)
-
-    def test_rejects_asymmetric(self):
-        taps = np.array([0.1, 0.2, 0.4, 0.25, 0.05])
-        with pytest.raises(ValueError):
-            SmoothingKernel(taps, 0.2)
-
-
 class TestSmooth:
     def test_constant_preserved_everywhere(self):
-        kernel = gaussian_kernel(0.6, 1.0, 0.2)
-        out = smooth(OffsetSeries(0.2, np.full(30, 0.3)), kernel)
-        assert np.allclose(out.values, 0.3, atol=1e-15)
+        out = smooth_values(np.full(30, 0.3), gaussian_kernel(0.6, 1.0, 0.2))
+        assert np.allclose(out, 0.3, atol=1e-15)
 
     def test_interior_impulse_reproduces_taps(self):
-        kernel = gaussian_kernel(0.6, 1.0, 0.2)
+        taps = gaussian_kernel(0.6, 1.0, 0.2)
         values = np.zeros(31)
         values[15] = 1.0
-        out = smooth_values(values, kernel.taps)
-        assert np.allclose(out[10:21], kernel.taps, atol=1e-15)
+        out = smooth_values(values, taps)
+        assert np.allclose(out[10:21], taps, atol=1e-15)
 
     def test_step_becomes_monotone_ramp(self):
-        kernel = gaussian_kernel(0.6, 1.0, 0.2)
+        taps = gaussian_kernel(0.6, 1.0, 0.2)
         values = np.concatenate([np.full(20, -0.475), np.full(20, -0.425)])
-        out = smooth_values(values, kernel.taps)
+        out = smooth_values(values, taps)
         assert np.all(np.diff(out) >= -1e-15)
         assert out[0] == pytest.approx(-0.475)
         assert out[-1] == pytest.approx(-0.425)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
-        kernel = gaussian_kernel(0.6, 1.0, 0.2)
+        taps = gaussian_kernel(0.6, 1.0, 0.2)
         values = rng.uniform(-0.5, 0.5, 40)
-        expected = brute_force_smooth(values.tolist(), kernel.taps.tolist())
-        assert np.allclose(smooth_values(values, kernel.taps), expected, atol=1e-12)
+        expected = brute_force_smooth(values.tolist(), taps.tolist())
+        assert np.allclose(smooth_values(values, taps), expected, atol=1e-12)
 
     def test_stays_within_input_hull(self):
         rng = np.random.default_rng(6)
-        kernel = gaussian_kernel(0.6, 1.0, 0.2)
+        taps = gaussian_kernel(0.6, 1.0, 0.2)
         for _ in range(20):
             values = rng.uniform(-0.5, 0.5, rng.integers(1, 50))
-            out = smooth_values(values, kernel.taps)
+            out = smooth_values(values, taps)
             assert out.min() >= values.min() - 1e-12
             assert out.max() <= values.max() + 1e-12
 
     def test_short_series_handled(self):
-        kernel = gaussian_kernel(0.6, 1.0, 0.2)
-        assert smooth_values(np.array([0.2]), kernel.taps) == pytest.approx([0.2])
-        assert np.allclose(smooth_values(np.array([0.1, 0.1]), kernel.taps), 0.1)
+        taps = gaussian_kernel(0.6, 1.0, 0.2)
+        assert smooth_values(np.array([0.2]), taps) == pytest.approx([0.2])
+        assert np.allclose(smooth_values(np.array([0.1, 0.1]), taps), 0.1)
 
 
 class TestEstimateTransitions:

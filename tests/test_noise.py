@@ -39,7 +39,7 @@ class TestExtractFine:
         assert np.allclose(phi.values, 0.005, atol=1e-12)
 
     def test_step_between_adjacent_centers_peaks_at_half_height(self, params):
-        taps = gaussian_kernel(params.smoothing_sigma, params.smoothing_support, params.dt).taps
+        taps = gaussian_kernel(params.smoothing_sigma, params.smoothing_support, params.dt)
         step = np.concatenate([np.full(30, -0.475), np.full(30, -0.425)])
         phi = extract_fine(series(step), params).values
         height = 0.05
@@ -54,16 +54,6 @@ class TestExtractFine:
             phi = extract_fine(x, params).values
             coarse = measured_coarse(x, params).values
             assert np.abs((phi + coarse) - x).max() <= 1e-12
-
-    def test_double_width_grid_variant(self, params):
-        x = np.full(40, 0.04)
-        phi = extract_fine(series(x), params, grid="double")
-        # 0.04 rounds to 0.0 on the 0.1-wide grid
-        assert np.allclose(phi.values, 0.04, atol=1e-15)
-
-    def test_unknown_grid_rejected(self, params):
-        with pytest.raises(ValueError):
-            measured_coarse(np.zeros(4), params, grid="thirds")
 
 
 class TestCap:
@@ -97,13 +87,13 @@ class TestCap:
 class TestSpectrumEstimation:
     def test_windows_do_not_span_segments(self, params):
         segs = [np.zeros(300), np.zeros(300)]
-        _, _, count = average_magnitude_spectrum(segs, 256, 0.5, dt=params.dt)
+        _, _, count = average_magnitude_spectrum(segs, 256, dt=params.dt)
         # (300-256)//128+1 = 1 window per segment; one long 600 would give 3
         assert count == 2
 
     def test_zero_windows_raise(self, params):
         with pytest.raises(CalibrationError):
-            average_magnitude_spectrum([np.zeros(100)], 256, 0.5, dt=params.dt)
+            average_magnitude_spectrum([np.zeros(100)], 256, dt=params.dt)
 
     def test_noise_floor_matches_monte_carlo(self):
         rng = np.random.default_rng(13)
@@ -215,7 +205,7 @@ class TestGenerateNoise:
         total = 0
         for k in range(20):
             out = generate_noise(fine, 8192, np.random.default_rng([55, k]))
-            freqs, mag, count = average_magnitude_spectrum([out], 256, 0.5, dt=params.dt)
+            freqs, mag, count = average_magnitude_spectrum([out], 256, dt=params.dt)
             acc += mag * count
             total += count
         measured = acc / total

@@ -173,13 +173,3 @@ class TestExtractSegments:
         track = track_from_offsets(np.zeros(10))
         assert extract_segments(track, params)[0].source_tour == "test"
 
-
-def test_resample_accepts_sample_iterables(params):
-    from laneweave.core import DriveLogSample
-
-    samples = [
-        DriveLogSample(t=0.0, dist_left=1.8, dist_right=1.8, v_lon=90.0),
-        DriveLogSample(t=0.2, dist_left=1.9, dist_right=1.7, v_lon=90.0),
-    ]
-    track = resample(samples, 5.0)
-    assert len(track) == 2
