@@ -17,7 +17,6 @@ from .evaluation import (
     METRIC_NAMES,
     EvalMode,
     EvaluationReport,
-    MetricVector,
     compute_metrics,
     ks_critical_value,
     ks_distance,
@@ -60,7 +59,6 @@ __all__ = [
     "EvaluationReport",
     "FineModel",
     "METRIC_NAMES",
-    "MetricVector",
     "ModelParams",
     "OffsetSeries",
     "Segment",

@@ -24,12 +24,13 @@ from .core import DriveLog, ModelParams, OffsetSeries, RunConfig
 from .errors import (
     CalibrationError,
     EmptySeriesError,
+    EvaluationError,
     LaneweaveError,
     ModelFormatError,
     SchemaError,
     SyntheticSpecError,
 )
-from .evaluation import EvalMode, run_mode, summarize
+from .evaluation import EvalMode, run_mode, summarize, window_steps
 from .generator import (
     TwoLevelModel,
     atomic_write_text,
@@ -325,6 +326,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ArgumentUsageError(
             f"{', '.join(mismatched)} must match the model; evaluation takes them from it"
         )
+    try:
+        window_steps(config.snippet_duration, config.dt)
+    except ValueError as exc:
+        raise ArgumentUsageError(str(exc)) from None
     modes = []
     for name in args.modes.split(","):
         try:
@@ -333,7 +338,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ArgumentUsageError(str(exc)) from None
     segments = ingest_segments(args.input, config)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for mode in modes:
         report = run_mode(
             mode, segments, model, args.seed, snippet_duration=config.snippet_duration
@@ -456,7 +460,7 @@ def main(argv=None) -> int:
     except (SchemaError, ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (CalibrationError, EmptySeriesError) as exc:
+    except (CalibrationError, EmptySeriesError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
     except LaneweaveError as exc:

@@ -48,8 +48,8 @@ class ModelParams:
             raise TypeError(f"n_c must be an integer, got {self.n_c!r}")
         for name in _PARAM_FLOAT_FIELDS:
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.n_c < 2:
             raise ValueError(f"n_c must be >= 2, got {self.n_c}")
         if self.dt <= 0:
@@ -81,7 +81,7 @@ class RunConfig(ModelParams):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        if not 0 < self.jump_threshold < math.inf:
+        if isinstance(self.jump_threshold, bool) or not 0 < self.jump_threshold < math.inf:
             raise ValueError(
                 f"jump_threshold must be positive and finite, got {self.jump_threshold!r}"
             )

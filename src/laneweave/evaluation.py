@@ -51,70 +51,62 @@ class EvalMode(str, Enum):
         raise ValueError(f"unknown evaluation mode {name!r}; valid modes: {valid}")
 
 
-@dataclass(frozen=True)
-class MetricVector:
-    """The ten per-snippet statistics."""
-
-    x_max: float
-    x_min: float
-    mean: float
-    std: float
-    median: float
-    q25: float
-    q75: float
-    range: float
-    mean_diff_10: float
-    std_diff_10: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in METRIC_NAMES], dtype=np.float64)
-
-
-def compute_metrics(snippet) -> MetricVector:
-    """Evaluate the ten statistics on one snippet.
+def compute_metrics(values) -> np.ndarray:
+    """Evaluate the ten statistics along the last axis: a snippet of w
+    samples gives a (10,) vector, a (count, w) stack a (count, 10) array,
+    with columns in METRIC_NAMES order.
 
     Quantiles interpolate linearly between order statistics, standard
     deviations use population normalization, and the diff metrics are the
     mean and standard deviation of consecutive differences scaled by 10.
     """
-    values = snippet.values if isinstance(snippet, OffsetSeries) else np.asarray(snippet, dtype=np.float64)
-    if values.size < 2:
-        raise MetricError(f"snippet needs at least 2 samples, got {values.size}")
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 0 or values.shape[-1] < 2:
+        raise MetricError(f"snippets need at least 2 samples, got shape {values.shape}")
     diffs = np.diff(values)
-    q25, median, q75 = np.quantile(values, [0.25, 0.5, 0.75])
-    x_max = float(values.max())
-    x_min = float(values.min())
-    return MetricVector(
-        x_max=x_max,
-        x_min=x_min,
-        mean=float(values.mean()),
-        std=float(values.std()),
-        median=float(median),
-        q25=float(q25),
-        q75=float(q75),
-        range=x_max - x_min,
-        mean_diff_10=float(diffs.mean() * 10.0),
-        std_diff_10=float(diffs.std() * 10.0),
+    q25, median, q75 = np.quantile(values, [0.25, 0.5, 0.75], axis=-1)
+    x_max = values.max(axis=-1)
+    x_min = values.min(axis=-1)
+    columns = (
+        x_max,
+        x_min,
+        values.mean(axis=-1),
+        values.std(axis=-1),
+        median,
+        q25,
+        q75,
+        x_max - x_min,
+        diffs.mean(axis=-1) * 10.0,
+        diffs.std(axis=-1) * 10.0,
     )
+    return np.stack(columns, axis=-1)
 
 
-def _window_steps(duration: float, dt: float) -> int:
+def window_steps(duration: float, dt: float) -> int:
+    """Samples per snippet window; the duration must be a whole multiple
+    of dt covering at least the two samples the metrics need."""
     steps = duration / dt
     w = int(round(steps))
-    if w < 1 or abs(steps - w) > 1e-6:
-        raise ValueError(f"duration {duration} is not a positive multiple of dt {dt}")
+    if w < 2 or abs(steps - w) > 1e-6:
+        raise ValueError(
+            f"snippet duration {duration} is not a multiple of dt {dt} covering at least 2 steps"
+        )
     return w
 
 
+def _windows(values: np.ndarray, w: int) -> np.ndarray:
+    """Consecutive non-overlapping windows as a (count, w) block; the
+    trailing remainder shorter than w is dropped."""
+    return values[: values.size // w * w].reshape(-1, w)
+
+
 def split_snippets(segments: Sequence, duration: float) -> list[OffsetSeries]:
-    """Consecutive non-overlapping windows per segment; the trailing
-    remainder shorter than the window is dropped."""
+    """Consecutive non-overlapping windows per segment, as run_mode cuts them."""
     snippets = []
     for seg in segments:
         series = seg.series if hasattr(seg, "series") else seg
-        w = _window_steps(duration, series.dt)
-        for start in range(0, len(series) - w + 1, w):
-            snippets.append(OffsetSeries(series.dt, series.values[start : start + w]))
+        w = window_steps(duration, series.dt)
+        snippets.extend(OffsetSeries(series.dt, row) for row in _windows(series.values, w))
     return snippets
 
 
@@ -149,16 +141,18 @@ class EvaluationReport:
     """
 
     mode: EvalMode
-    metric_names: tuple[str, ...]
     real: np.ndarray
     artificial: np.ndarray
     ks: dict[str, float]
-    snippet_count: int
     seed: int | None
+
+    @property
+    def snippet_count(self) -> int:
+        return self.real.shape[0]
 
     def to_dict(self) -> dict:
         metrics = {}
-        for j, name in enumerate(self.metric_names):
+        for j, name in enumerate(METRIC_NAMES):
             real = self.real[:, j]
             art = self.artificial[:, j]
             metrics[name] = {
@@ -205,9 +199,10 @@ def run_mode(
     mode = mode if isinstance(mode, EvalMode) else EvalMode.parse(mode)
     params = model.params
     duration = params.snippet_duration if snippet_duration is None else snippet_duration
-    w = _window_steps(duration, params.dt)
+    w = window_steps(duration, params.dt)
+    shift_steps = int(round(SHIFT_SECONDS / params.dt))
 
-    prepared = []
+    blocks = []
     for seg in real_segments:
         series = seg.series if hasattr(seg, "series") else seg
         if abs(series.dt - params.dt) > 1e-12:
@@ -215,51 +210,48 @@ def run_mode(
         x = series.values
         drift = measured_coarse(x, params).values
         capped = np.clip(x - drift, -params.cap_threshold, params.cap_threshold)
-        prepared.append((x, drift, capped))
-
-    windows = [
-        (si, start)
-        for si, (x, _, _) in enumerate(prepared)
-        for start in range(0, x.size - w + 1, w)
-    ]
-    if not windows:
-        raise EvaluationError("no snippets: every segment is shorter than the snippet window")
-
-    children = seed_children(rng_seed, len(windows))
-    if mode is EvalMode.SHIFT_TEST:
-        shift_steps = int(round(SHIFT_SECONDS / params.dt))
-        shifted = [drift + np.roll(capped, shift_steps) for (_, drift, capped) in prepared]
-
-    real_rows = np.empty((len(windows), len(METRIC_NAMES)))
-    art_rows = np.empty_like(real_rows)
-    for row, ((si, start), child) in enumerate(zip(windows, children)):
-        x, drift, capped = prepared[si]
-        real = x[start : start + w]
         if mode is EvalMode.SHIFT_TEST:
-            art = shifted[si][start : start + w]
-        elif mode is EvalMode.COARSE_ONLY:
-            initial = discretize(float(real[0]), params.n_c)
-            art = coarse_profile(model, initial, w, np.random.default_rng(child))
-            art = art + capped[start : start + w]
-        elif mode is EvalMode.FINE_ONLY:
-            art = drift[start : start + w] + generate_noise(model.fine, w, np.random.default_rng(child)).values
-        else:
-            x0 = float(min(0.5, max(-0.5, real[0])))
-            art = generate_profile(model, x0, duration, child).values
-        real_rows[row] = compute_metrics(real).as_array()
-        art_rows[row] = compute_metrics(art).as_array()
+            capped = np.roll(capped, shift_steps)
+        blocks.append(tuple(_windows(v, w) for v in (x, drift, capped)))
+    if not any(len(windows) for windows, _, _ in blocks):
+        raise EvaluationError("no snippets: every segment is shorter than the snippet window")
+    real, drift, capped = (np.concatenate(parts) for parts in zip(*blocks))
 
+    children = seed_children(rng_seed, real.shape[0])
+    if mode is EvalMode.SHIFT_TEST:
+        art = drift + capped
+    elif mode is EvalMode.COARSE_ONLY:
+        initial = discretize(real[:, 0], params.n_c).tolist()
+        coarse = [
+            coarse_profile(model, state, w, np.random.default_rng(child))
+            for state, child in zip(initial, children)
+        ]
+        art = np.array(coarse) + capped
+    elif mode is EvalMode.FINE_ONLY:
+        noise = [
+            generate_noise(model.fine, w, np.random.default_rng(child)).values
+            for child in children
+        ]
+        art = drift + np.array(noise)
+    else:
+        starts = np.clip(real[:, 0], -0.5, 0.5).tolist()
+        profiles = [
+            generate_profile(model, x0, duration, child).values
+            for x0, child in zip(starts, children)
+        ]
+        art = np.array(profiles)
+
+    real_rows = compute_metrics(real)
+    art_rows = compute_metrics(art)
     ks = {
         name: ks_distance(real_rows[:, j], art_rows[:, j])
         for j, name in enumerate(METRIC_NAMES)
     }
     return EvaluationReport(
         mode=mode,
-        metric_names=METRIC_NAMES,
         real=real_rows,
         artificial=art_rows,
         ks=ks,
-        snippet_count=len(windows),
         seed=None if rng_seed is None else int(rng_seed),
     )
 
@@ -272,7 +264,7 @@ def summarize(report: EvaluationReport) -> str:
     ladder_names = [f"q{int(round(level * 100)):02d}" for level in QUANTILE_LADDER]
     header = ["metric", "population", "count", "min", "mean", "max", *ladder_names]
     lines = [",".join(header)]
-    for j, name in enumerate(report.metric_names):
+    for j, name in enumerate(METRIC_NAMES):
         for population, rows in (("real", report.real), ("artificial", report.artificial)):
             summary = _population_summary(rows[:, j])
             cells = [name, population, str(summary["count"])]

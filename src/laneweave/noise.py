@@ -10,12 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ModelParams, OffsetSeries, SeedLike, as_generator
+from .core import ModelParams, OffsetSeries, RunConfig, SeedLike, as_generator
 from .errors import CalibrationError
 from .markov import discretize, gaussian_kernel, smooth_values, state_centers
 
-DEFAULT_KNOT_COUNT = 6
-DEFAULT_WINDOW_LENGTH = 256
 OVERLAP = 0.5  # fraction shared by consecutive spectral windows
 KERNEL_HALF_SUPPORT = 2.0  # seconds
 DENSE_SIZE = 4096  # response samples behind kernel_from_damping
@@ -82,10 +80,6 @@ class SpectrumFit:
         object.__setattr__(self, "knot_frequencies", kf)
         object.__setattr__(self, "knot_values", kv)
 
-    @property
-    def knots(self) -> list[tuple[float, float]]:
-        return list(zip(self.knot_frequencies.tolist(), self.knot_values.tolist()))
-
     def damping_at(self, frequencies) -> np.ndarray:
         """Piecewise-linear gain evaluated at the given frequencies."""
         return np.interp(frequencies, self.knot_frequencies, self.knot_values)
@@ -118,7 +112,7 @@ def cap(phi: OffsetSeries, threshold: float) -> OffsetSeries:
 
 def average_magnitude_spectrum(
     segments: Sequence,
-    window_length: int = DEFAULT_WINDOW_LENGTH,
+    window_length: int = RunConfig.window_length,
     *,
     dt: float,
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -187,8 +181,8 @@ def _hat_basis(frequencies: np.ndarray, knot_frequencies: np.ndarray) -> np.ndar
 def fit_kernel(
     phi_corr_segments: Sequence,
     params: ModelParams,
-    knot_count: int = DEFAULT_KNOT_COUNT,
-    window_length: int = DEFAULT_WINDOW_LENGTH,
+    knot_count: int = RunConfig.knot_count,
+    window_length: int = RunConfig.window_length,
 ) -> tuple[FineModel, SpectrumFit]:
     """Fit the shaping kernel to capped residual segments.
 

@@ -7,11 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DriveLog, ModelParams, OffsetSeries, relative_offset
+from .core import DriveLog, ModelParams, OffsetSeries, RunConfig, relative_offset
 from .errors import EmptySeriesError
-
-DEFAULT_JUMP_THRESHOLD = 0.25
-DEFAULT_GUARD_STEPS = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +90,8 @@ def extract_segments(
     track: ResampledTrack,
     params: ModelParams,
     *,
-    jump_threshold: float = DEFAULT_JUMP_THRESHOLD,
-    guard_steps: int = DEFAULT_GUARD_STEPS,
+    jump_threshold: float = RunConfig.jump_threshold,
+    guard_steps: int = RunConfig.guard_steps,
 ) -> list[Segment]:
     """Cut the track at slow driving, invalid samples, and lane changes,
     returning the remaining maximal runs of at least two steps.

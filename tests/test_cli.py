@@ -225,6 +225,7 @@ class TestGenerate:
             ("fine", "noise_halfwidth", math.nan),
             ("params", "n_c", 20.0),
             ("params", "smoothing_sigma", math.nan),
+            ("params", "v_min", True),
         ],
     )
     def test_malformed_model_field_is_schema_error(
@@ -300,6 +301,28 @@ class TestEvaluate:
         document = json.loads((out_dir / "report_shift.json").read_text())
         assert document["snippet_count"] == 30  # 60 at the default 10 s
         assert document["config"]["snippet_duration"] == 20.0
+
+    @pytest.mark.parametrize("seconds, speed", [(8.0, 80.0), (60.0, 20.0)])
+    def test_too_little_data_is_insufficient_data(
+        self, tmp_path, model_file, seconds, speed
+    ):
+        tour = tmp_path / "short.csv"
+        rows = [f"{k * 0.2!r},1.8,1.8,{speed}" for k in range(int(seconds / 0.2) + 1)]
+        tour.write_text("t,dist_left,dist_right,v_lon\n" + "\n".join(rows) + "\n")
+        out_dir = tmp_path / "r"
+        args = ["evaluate", "--model", str(model_file), "--input", str(tour)]
+        assert main(args + ["--out", str(out_dir)]) == EXIT_CALIBRATION
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("duration", ["0.3", "-10", "0.2", "0"])
+    def test_bad_snippet_duration_is_argument_error(self, capsys, tmp_path, model_file, duration):
+        # the input does not exist: the duration is rejected before it is read
+        out_dir = tmp_path / "r"
+        args = ["evaluate", "--model", str(model_file), "--input", str(tmp_path / "none.csv")]
+        args += ["--snippet-duration", duration, "--out", str(out_dir)]
+        assert main(args) == EXIT_ARGUMENT
+        assert "snippet duration" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "flags",
@@ -434,6 +457,8 @@ class TestConfigResolution:
             ([], {"guard_steps": 2.5}),
             ([], {"window_length": True}),
             ([], {"jump_threshold": 0}),
+            ([], {"v_min": True}),
+            ([], {"jump_threshold": True}),
         ],
     )
     def test_invalid_run_setting_is_argument_error(self, tmp_path, tour_csv, flags, document):

@@ -96,7 +96,7 @@ class TestModelParams:
         assert ModelParams(n_c=np.int64(12)).n_c == 12
 
     @pytest.mark.parametrize("name", ["dt", "smoothing_sigma", "smoothing_support", "v_min"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True])
     def test_float_fields_must_be_finite(self, name, value):
         with pytest.raises(ValueError, match=name):
             ModelParams(**{name: value})

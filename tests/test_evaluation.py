@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from laneweave.core import OffsetSeries
 from laneweave.errors import EvaluationError, MetricError
@@ -30,46 +33,70 @@ def segment(values, dt=0.2):
     return Segment(start_t=0.0, series=series(values, dt), source_tour="test")
 
 
+def column(metrics, name):
+    return metrics[..., METRIC_NAMES.index(name)]
+
+
 class TestComputeMetrics:
     def test_hand_checked_ramp(self):
-        m = compute_metrics(series([0.0, 0.1, 0.2]))
-        assert m.x_max == pytest.approx(0.2)
-        assert m.x_min == 0.0
-        assert m.mean == pytest.approx(0.1)
-        assert m.median == pytest.approx(0.1)
-        assert m.range == pytest.approx(0.2)
-        assert m.mean_diff_10 == pytest.approx(1.0)
+        m = compute_metrics(np.array([0.0, 0.1, 0.2]))
+        assert m.shape == (len(METRIC_NAMES),)
+        assert column(m, "x_max") == pytest.approx(0.2)
+        assert column(m, "x_min") == 0.0
+        assert column(m, "mean") == pytest.approx(0.1)
+        assert column(m, "median") == pytest.approx(0.1)
+        assert column(m, "range") == pytest.approx(0.2)
+        assert column(m, "mean_diff_10") == pytest.approx(1.0)
 
     def test_constant_series(self):
-        m = compute_metrics(series([0.1, 0.1, 0.1]))
-        assert m.std == pytest.approx(0.0, abs=1e-12)
-        assert m.range == 0.0
-        assert m.mean_diff_10 == 0.0
-        assert m.std_diff_10 == pytest.approx(0.0, abs=1e-12)
+        m = compute_metrics(np.array([0.1, 0.1, 0.1]))
+        assert column(m, "std") == pytest.approx(0.0, abs=1e-12)
+        assert column(m, "range") == 0.0
+        assert column(m, "mean_diff_10") == 0.0
+        assert column(m, "std_diff_10") == pytest.approx(0.0, abs=1e-12)
 
     def test_single_negative_diff(self):
-        assert compute_metrics(series([0.2, 0.0])).mean_diff_10 == pytest.approx(-2.0)
+        assert column(compute_metrics(np.array([0.2, 0.0])), "mean_diff_10") == pytest.approx(-2.0)
 
     def test_too_short(self):
         with pytest.raises(MetricError):
-            compute_metrics(series([0.1]))
+            compute_metrics(np.array([0.1]))
+        with pytest.raises(MetricError):
+            compute_metrics(np.zeros((3, 1)))
 
     def test_matches_brute_force_on_random_snippets(self):
         rng = np.random.default_rng(23)
         for _ in range(1000):
             values = rng.uniform(-0.5, 0.5, rng.integers(2, 80))
-            ours = compute_metrics(values).as_array()
+            ours = compute_metrics(values)
             reference = brute_force_metrics(values)
             expected = np.array([reference[name] for name in METRIC_NAMES])
             assert np.abs(ours - expected).max() <= 1e-12
 
     def test_order_invariants_hold(self):
         rng = np.random.default_rng(24)
-        for _ in range(200):
-            m = compute_metrics(rng.uniform(-0.5, 0.5, 50))
-            assert m.x_min <= m.q25 <= m.median <= m.q75 <= m.x_max
-            assert m.range >= 0.0
-            assert m.std >= 0.0 and m.std_diff_10 >= 0.0
+        m = compute_metrics(rng.uniform(-0.5, 0.5, (200, 50)))
+        x_min, q25, median, q75, x_max = (
+            column(m, name) for name in ("x_min", "q25", "median", "q75", "x_max")
+        )
+        assert np.all((x_min <= q25) & (q25 <= median) & (median <= q75) & (q75 <= x_max))
+        assert np.all(column(m, "range") >= 0.0)
+        assert np.all(column(m, "std") >= 0.0) and np.all(column(m, "std_diff_10") >= 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stack=st.tuples(st.integers(1, 8), st.integers(2, 60)).flatmap(
+            lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(-0.5, 0.5))
+        )
+    )
+    def test_stack_matches_row_by_row(self, stack):
+        stacked = compute_metrics(stack)
+        assert stacked.shape == (stack.shape[0], len(METRIC_NAMES))
+        assert np.array_equal(stacked, np.array([compute_metrics(row) for row in stack]))
+        for row, metrics in zip(stack, stacked):
+            reference = brute_force_metrics(row)
+            expected = np.array([reference[name] for name in METRIC_NAMES])
+            assert np.abs(metrics - expected).max() <= 1e-12
 
 
 class TestSplitSnippets:
@@ -196,6 +223,13 @@ class TestRunMode:
             art = generate_profile(gentle_model, float(x0), 10.0, child).values
             worst = max(worst, abs(float(art[0] - x0)))
         assert worst <= bound
+
+    @pytest.mark.parametrize("mode", list(EvalMode))
+    def test_real_side_is_metrics_of_split_snippets(self, gentle_model, gentle_segments, mode):
+        report = run_mode(mode, gentle_segments, gentle_model, 5)
+        windows = np.array([s.values for s in split_snippets(gentle_segments, 10.0)])
+        assert np.array_equal(report.real, compute_metrics(windows))
+        assert report.artificial.shape == report.real.shape
 
     def test_seeded_repeatability(self, gentle_model, gentle_segments):
         a = run_mode(EvalMode.FULL, gentle_segments, gentle_model, 7)
