@@ -16,7 +16,9 @@ import sys
 import time
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -52,6 +54,8 @@ EXIT_FAILURE = 1
 
 CONFIG_ENV = "LANEWEAVE_CONFIG"
 CSV_COLUMNS = ("t", "dist_left", "dist_right", "v_lon")
+# rows parsed per float() pass; bounds the transient list of cell strings
+CSV_CHUNK_ROWS = 1024
 # ModelParams fields that describe the evaluated data, not the model
 DATA_FIELDS = ("v_min", "snippet_duration")
 
@@ -93,7 +97,13 @@ def resolve_config(args: argparse.Namespace, base: ModelParams | None = None) ->
 
 def read_drive_log_csv(path) -> DriveLog:
     """Parse one tour CSV; structural problems raise SchemaError naming
-    the offending column and 1-based data row."""
+    the offending column and 1-based data row.
+
+    Blank lines are skipped (they still count in row numbers) and an
+    empty lane_id cell means unknown (NaN). Every cell goes through
+    float(), a chunk of rows at a time; on any failure the rows are
+    checked again one by one to report the first error in file order.
+    """
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
@@ -109,9 +119,42 @@ def read_drive_log_csv(path) -> DriveLog:
         raise SchemaError(
             f"{path}: header must be {','.join(CSV_COLUMNS)}[,lane_id], got {','.join(header)}"
         )
-    has_lane = len(header) == len(CSV_COLUMNS) + 1
+    width = len(header)
+    has_lane = width == len(CSV_COLUMNS) + 1
 
-    columns: list[list[float]] = [[] for _ in header]
+    rows = list(filter(str.strip, lines[1:]))
+    # per row, not in total: a short row followed by a long one would
+    # otherwise shift every later cell into the wrong column
+    if list(map(str.count, rows, repeat(","))).count(width - 1) != len(rows):
+        _raise_first_error(path, header, lines)
+    table = np.empty((width, len(rows)), dtype=np.float64)
+    for start in range(0, len(rows), CSV_CHUNK_ROWS):
+        cells = ",".join(rows[start : start + CSV_CHUNK_ROWS]).split(",")
+        if has_lane:
+            lanes = cells[width - 1 :: width]
+            cells[width - 1 :: width] = [c if c.strip() else "nan" for c in lanes]
+        try:
+            chunk = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+        except ValueError:
+            _raise_first_error(path, header, lines)
+        table[:, start : start + len(cells) // width] = chunk.reshape(-1, width).T
+    t = table[0]
+    if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+        _raise_first_error(path, header, lines)
+
+    return DriveLog(
+        t=t,
+        dist_left=table[1],
+        dist_right=table[2],
+        v_lon=table[3],
+        lane_id=table[4] if has_lane else None,
+        tour_id=path.stem,
+    )
+
+
+def _raise_first_error(path: Path, header: tuple, lines: list[str]) -> NoReturn:
+    """Check the data rows one by one and raise the first SchemaError in
+    file order: field count, then each cell, then the timestamp."""
     previous_t = None
     for row_number, line in enumerate(lines[1:], start=1):
         if not line.strip():
@@ -122,20 +165,20 @@ def read_drive_log_csv(path) -> DriveLog:
                 f"{path}: row {row_number} has {len(cells)} fields, expected {len(header)}",
                 row=row_number,
             )
-        for col, (name, cell) in enumerate(zip(header, cells)):
+        for name, cell in zip(header, cells):
             cell = cell.strip()
             if name == "lane_id" and cell == "":
-                columns[col].append(np.nan)
                 continue
             try:
-                columns[col].append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise SchemaError(
                     f"{path}: row {row_number}, column {name!r}: cannot parse {cell!r}",
                     column=name,
                     row=row_number,
                 ) from None
-        t = columns[0][-1]
+            if name == "t":
+                t = value
         if not math.isfinite(t):
             raise SchemaError(
                 f"{path}: row {row_number}: timestamp {t!r} is not finite",
@@ -149,15 +192,6 @@ def read_drive_log_csv(path) -> DriveLog:
                 row=row_number,
             )
         previous_t = t
-
-    return DriveLog(
-        t=columns[0],
-        dist_left=columns[1],
-        dist_right=columns[2],
-        v_lon=columns[3],
-        lane_id=columns[4] if has_lane else None,
-        tour_id=path.stem,
-    )
 
 
 def format_drive_log_csv(log: DriveLog) -> str:
@@ -199,7 +233,7 @@ def calibrate_from_segments(
     """Full calibration: transition estimation plus the spectral fit.
 
     Returns the model and a summary with segment counts, usable minutes,
-    per-row visit totals, and the spectral fit residual.
+    per-row visit totals, the absorbing rows, and the spectral fit residual.
     """
     if not segments:
         raise CalibrationError("no road-following segments in the input data")
@@ -218,6 +252,7 @@ def calibrate_from_segments(
         capped, params, knot_count=config.knot_count, window_length=config.window_length
     )
     total_steps = sum(len(seg) for seg in segments)
+    visits = counts.sum(axis=1)
     model = TwoLevelModel(
         params=params,
         coarse=coarse,
@@ -227,7 +262,10 @@ def calibrate_from_segments(
     summary = {
         "segment_count": len(segments),
         "usable_minutes": total_steps * params.dt / 60.0,
-        "row_visits": counts.sum(axis=1).tolist(),
+        "row_visits": visits.tolist(),
+        # identity fallback rows that observed rows lead into: a walk that
+        # enters one never leaves
+        "absorbing_rows": np.flatnonzero((visits == 0) & (counts.sum(axis=0) > 0)).tolist(),
         "spectral_windows": fit.window_count,
         "fit_residual": fit.residual,
         "knot_values": fit.knot_values.tolist(),
@@ -298,6 +336,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         f"spectral_windows={summary['spectral_windows']} fit_residual={summary['fit_residual']:.4f}"
     )
     print(f"row visits: min={visits.min()} median={int(np.median(visits))} max={visits.max()}")
+    print(f"absorbing rows: {len(summary['absorbing_rows'])} {summary['absorbing_rows']}")
     print(f"effective config: {json.dumps(config.to_dict(), sort_keys=True)}")
     return EXIT_OK
 

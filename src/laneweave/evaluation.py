@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -150,17 +151,28 @@ class EvaluationReport:
     def snippet_count(self) -> int:
         return self.real.shape[0]
 
+    @cached_property
+    def summaries(self) -> dict[str, dict[str, dict]]:
+        """Population summary per metric name and side ("real",
+        "artificial"), computed once for to_dict and summarize."""
+        return {
+            name: {
+                "real": _population_summary(self.real[:, j]),
+                "artificial": _population_summary(self.artificial[:, j]),
+            }
+            for j, name in enumerate(METRIC_NAMES)
+        }
+
     def to_dict(self) -> dict:
         metrics = {}
         for j, name in enumerate(METRIC_NAMES):
-            real = self.real[:, j]
-            art = self.artificial[:, j]
+            summary = self.summaries[name]
             metrics[name] = {
                 "ks_distance": self.ks[name],
-                "real_summary": _population_summary(real),
-                "artificial_summary": _population_summary(art),
-                "real": real.tolist(),
-                "artificial": art.tolist(),
+                "real_summary": dict(summary["real"]),
+                "artificial_summary": dict(summary["artificial"]),
+                "real": self.real[:, j].tolist(),
+                "artificial": self.artificial[:, j].tolist(),
             }
         return {
             "mode": self.mode.value,
@@ -264,9 +276,9 @@ def summarize(report: EvaluationReport) -> str:
     ladder_names = [f"q{int(round(level * 100)):02d}" for level in QUANTILE_LADDER]
     header = ["metric", "population", "count", "min", "mean", "max", *ladder_names]
     lines = [",".join(header)]
-    for j, name in enumerate(METRIC_NAMES):
-        for population, rows in (("real", report.real), ("artificial", report.artificial)):
-            summary = _population_summary(rows[:, j])
+    for name in METRIC_NAMES:
+        for population in ("real", "artificial"):
+            summary = report.summaries[name][population]
             cells = [name, population, str(summary["count"])]
             cells += [repr(summary[key]) for key in ("min", "mean", "max", *ladder_names)]
             lines.append(",".join(cells))

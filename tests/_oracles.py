@@ -1,10 +1,17 @@
-"""Brute-force reference implementations, deliberately sharing no code
-with the package: plain Python loops, fsum, manual order statistics, and
-one numpy binary search per chain step."""
+"""Brute-force reference implementations, deliberately sharing no logic
+with the package (only its data and error types): plain Python loops,
+fsum, manual order statistics, one numpy binary search per chain step,
+and a cell-by-cell CSV reader."""
 
 import math
+from pathlib import Path
 
 import numpy as np
+
+from laneweave.core import DriveLog
+from laneweave.errors import SchemaError
+
+CSV_COLUMNS = ("t", "dist_left", "dist_right", "v_lon")
 
 
 def brute_force_quantile(values, q):
@@ -79,3 +86,72 @@ def brute_force_chain_path(cum_rows, initial_state, uniforms):
         state = min(int(np.searchsorted(cum_rows[state], u, side="right")), n_c - 1)
         out[i + 1] = state
     return out
+
+
+def brute_force_read_drive_log_csv(path):
+    """The row-by-row tour CSV reader: every cell stripped and put through
+    float() one at a time, checking each row as it is read."""
+    path = Path(path)
+    try:
+        lines = path.read_text().splitlines()
+    except FileNotFoundError:
+        raise SchemaError(f"input file not found: {path}") from None
+    if not lines:
+        raise SchemaError(f"{path}: empty file, expected a header row")
+    header = tuple(cell.strip() for cell in lines[0].split(","))
+    if header[: len(CSV_COLUMNS)] != CSV_COLUMNS or header not in (
+        CSV_COLUMNS,
+        CSV_COLUMNS + ("lane_id",),
+    ):
+        raise SchemaError(
+            f"{path}: header must be {','.join(CSV_COLUMNS)}[,lane_id], got {','.join(header)}"
+        )
+    has_lane = len(header) == len(CSV_COLUMNS) + 1
+
+    columns = [[] for _ in header]
+    previous_t = None
+    for row_number, line in enumerate(lines[1:], start=1):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise SchemaError(
+                f"{path}: row {row_number} has {len(cells)} fields, expected {len(header)}",
+                row=row_number,
+            )
+        for col, (name, cell) in enumerate(zip(header, cells)):
+            cell = cell.strip()
+            if name == "lane_id" and cell == "":
+                columns[col].append(np.nan)
+                continue
+            try:
+                columns[col].append(float(cell))
+            except ValueError:
+                raise SchemaError(
+                    f"{path}: row {row_number}, column {name!r}: cannot parse {cell!r}",
+                    column=name,
+                    row=row_number,
+                ) from None
+        t = columns[0][-1]
+        if not math.isfinite(t):
+            raise SchemaError(
+                f"{path}: row {row_number}: timestamp {t!r} is not finite",
+                column="t",
+                row=row_number,
+            )
+        if previous_t is not None and t <= previous_t:
+            raise SchemaError(
+                f"{path}: row {row_number}: timestamps must be strictly increasing",
+                column="t",
+                row=row_number,
+            )
+        previous_t = t
+
+    return DriveLog(
+        t=columns[0],
+        dist_left=columns[1],
+        dist_right=columns[2],
+        v_lon=columns[3],
+        lane_id=columns[4] if has_lane else None,
+        tour_id=path.stem,
+    )

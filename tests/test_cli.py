@@ -14,12 +14,16 @@ from laneweave.cli import (
     ArgumentUsageError,
     RunConfig,
     bench_generation,
+    calibrate_from_segments,
     main,
     read_drive_log_csv,
     resolve_config,
 )
+from laneweave.core import OffsetSeries
 from laneweave.errors import SchemaError
 from laneweave.generator import load_model
+from laneweave.markov import state_centers
+from laneweave.preprocessing import Segment
 
 
 @pytest.fixture
@@ -82,6 +86,25 @@ class TestCalibrate:
         assert np.all(np.abs(sums - 1.0) <= 1e-9)
         assert model.metadata["config"]["n_c"] == 20
         assert "created_at" in model.metadata
+
+    def test_absorbing_row_is_reported(self):
+        # states 0 0 1 0 0 2: row 2 is entered but never left, so it falls
+        # back to the identity row and traps every walk that enters it
+        config = RunConfig(n_c=4)
+        centers = state_centers(4)
+        walk = Segment(0.0, OffsetSeries(config.dt, centers[[0, 0, 1, 0, 0, 2]]))
+        # a long stay in bin 0 feeds the spectral fit and adds no other row
+        jitter = np.random.default_rng(0).uniform(-0.05, 0.05, 8 * config.window_length)
+        stay = Segment(10.0, OffsetSeries(config.dt, centers[0] + jitter))
+        model, summary = calibrate_from_segments([walk, stay], config)
+        assert summary["absorbing_rows"] == [2]
+        assert model.coarse.transition[2].tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert summary["row_visits"][3] == 0
+
+    def test_prints_absorbing_rows(self, capsys, tmp_path, tour_csv):
+        code = main(["calibrate", "--input", str(tour_csv), "--out", str(tmp_path / "m.json")])
+        assert code == EXIT_OK
+        assert "absorbing rows: " in capsys.readouterr().out
 
     def test_header_only_csv_is_insufficient_data(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from laneweave import evaluation
 from laneweave.core import OffsetSeries
 from laneweave.errors import EvaluationError, MetricError
 from laneweave.evaluation import (
@@ -268,6 +271,18 @@ class TestSummarize:
         lines = summarize(report).strip().splitlines()[1:]
         for real_line, art_line in zip(lines[::2], lines[1::2]):
             assert real_line.split(",")[2:] == art_line.split(",")[2:]
+
+    def test_each_population_summarized_once(self, gentle_model, gentle_segments):
+        report = run_mode(EvalMode.SHIFT_TEST, gentle_segments, gentle_model, 0)
+        summary = evaluation._population_summary
+        with mock.patch.object(evaluation, "_population_summary", wraps=summary) as spy:
+            document = report.to_dict()
+            text = summarize(report)
+        assert spy.call_count == 2 * len(METRIC_NAMES)
+        # the report's summaries are copied out, not shared
+        document["metrics"]["mean"]["real_summary"]["min"] = 99.0
+        assert summarize(report) == text
+        assert report.to_dict()["metrics"]["mean"]["real_summary"] == summary(report.real[:, 2])
 
     def test_report_to_dict_is_json_ready(self, gentle_model, gentle_segments):
         import json
