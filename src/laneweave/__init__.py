@@ -18,6 +18,7 @@ from .evaluation import (
     EvalMode,
     EvaluationReport,
     compute_metrics,
+    evaluate,
     ks_critical_value,
     ks_distance,
     run_mode,
@@ -69,6 +70,7 @@ __all__ = [
     "compute_metrics",
     "discretize",
     "estimate_transitions",
+    "evaluate",
     "extract_fine",
     "extract_segments",
     "fit_kernel",

@@ -1,29 +1,22 @@
-"""Command-line front end wiring ingestion, calibration, generation,
-evaluation, synthesis, and benchmarking into reproducible runs.
-
-Input CSV schema, one file per tour: header t,dist_left,dist_right,v_lon
-with an optional trailing lane_id column; t in seconds, distances in
-meters, velocity in km/h, rows sorted by t.
-"""
+"""Command-line front end: flags, config resolution, one command body
+per subcommand, and the map from error types to exit codes. The work
+itself is done by the library, mostly laneweave.pipeline."""
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-import time
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
-from itertools import repeat
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
-from .core import DriveLog, ModelParams, OffsetSeries, RunConfig
+from .core import ModelParams, RunConfig
 from .errors import (
+    ArgumentUsageError,
     CalibrationError,
     EmptySeriesError,
     EvaluationError,
@@ -32,18 +25,16 @@ from .errors import (
     SchemaError,
     SyntheticSpecError,
 )
-from .evaluation import EvalMode, run_mode, summarize, window_steps
-from .generator import (
-    TwoLevelModel,
-    atomic_write_text,
-    coarse_profile,
-    generate_profile,
-    load_model,
-    save_model,
+from .evaluation import EvalMode, evaluate, summarize, window_steps
+from .generator import atomic_write_text, generate_profile, load_model, save_model
+from .pipeline import (
+    bench_generation,
+    calibrate_from_segments,
+    format_drive_log_csv,
+    format_profile_csv,
+    ingest_segments,
+    read_drive_log_csv,  # noqa: F401  perfbench traces the tour reader through this name
 )
-from .markov import CoarseModel, count_transitions, discretize, transitions_from_counts
-from .noise import cap, extract_fine, fit_kernel, generate_noise
-from .preprocessing import Segment, extract_segments, resample
 from .synthetic import SyntheticSpec, make_model, simulate_drive_log
 
 EXIT_OK = 0
@@ -53,15 +44,8 @@ EXIT_CALIBRATION = 4
 EXIT_FAILURE = 1
 
 CONFIG_ENV = "LANEWEAVE_CONFIG"
-CSV_COLUMNS = ("t", "dist_left", "dist_right", "v_lon")
-# rows parsed per float() pass; bounds the transient list of cell strings
-CSV_CHUNK_ROWS = 1024
 # ModelParams fields that describe the evaluated data, not the model
 DATA_FIELDS = ("v_min", "snippet_duration")
-
-
-class ArgumentUsageError(LaneweaveError):
-    """Bad command-line argument values detected after parsing."""
 
 
 def resolve_config(args: argparse.Namespace, base: ModelParams | None = None) -> RunConfig:
@@ -77,7 +61,9 @@ def resolve_config(args: argparse.Namespace, base: ModelParams | None = None) ->
             document = json.loads(Path(config_path).read_text())
         except FileNotFoundError:
             raise SchemaError(f"config file not found: {config_path}") from None
-        except json.JSONDecodeError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"cannot read config file {config_path}: {exc}") from None
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SchemaError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(document, dict):
             raise SchemaError("config file must hold a JSON object")
@@ -93,226 +79,6 @@ def resolve_config(args: argparse.Namespace, base: ModelParams | None = None) ->
         return RunConfig(**settings)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ArgumentUsageError(f"invalid configuration: {exc}") from None
-
-
-def read_drive_log_csv(path) -> DriveLog:
-    """Parse one tour CSV; structural problems raise SchemaError naming
-    the offending column and 1-based data row.
-
-    Blank lines are skipped (they still count in row numbers) and an
-    empty lane_id cell means unknown (NaN). Every cell goes through
-    float(), a chunk of rows at a time; on any failure the rows are
-    checked again one by one to report the first error in file order.
-    """
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except FileNotFoundError:
-        raise SchemaError(f"input file not found: {path}") from None
-    if not lines:
-        raise SchemaError(f"{path}: empty file, expected a header row")
-    header = tuple(cell.strip() for cell in lines[0].split(","))
-    if header[: len(CSV_COLUMNS)] != CSV_COLUMNS or header not in (
-        CSV_COLUMNS,
-        CSV_COLUMNS + ("lane_id",),
-    ):
-        raise SchemaError(
-            f"{path}: header must be {','.join(CSV_COLUMNS)}[,lane_id], got {','.join(header)}"
-        )
-    width = len(header)
-    has_lane = width == len(CSV_COLUMNS) + 1
-
-    rows = list(filter(str.strip, lines[1:]))
-    # per row, not in total: a short row followed by a long one would
-    # otherwise shift every later cell into the wrong column
-    if list(map(str.count, rows, repeat(","))).count(width - 1) != len(rows):
-        _raise_first_error(path, header, lines)
-    table = np.empty((width, len(rows)), dtype=np.float64)
-    for start in range(0, len(rows), CSV_CHUNK_ROWS):
-        cells = ",".join(rows[start : start + CSV_CHUNK_ROWS]).split(",")
-        if has_lane:
-            lanes = cells[width - 1 :: width]
-            cells[width - 1 :: width] = [c if c.strip() else "nan" for c in lanes]
-        try:
-            chunk = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-        except ValueError:
-            _raise_first_error(path, header, lines)
-        table[:, start : start + len(cells) // width] = chunk.reshape(-1, width).T
-    t = table[0]
-    if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
-        _raise_first_error(path, header, lines)
-
-    return DriveLog(
-        t=t,
-        dist_left=table[1],
-        dist_right=table[2],
-        v_lon=table[3],
-        lane_id=table[4] if has_lane else None,
-        tour_id=path.stem,
-    )
-
-
-def _raise_first_error(path: Path, header: tuple, lines: list[str]) -> NoReturn:
-    """Check the data rows one by one and raise the first SchemaError in
-    file order: field count, then each cell, then the timestamp."""
-    previous_t = None
-    for row_number, line in enumerate(lines[1:], start=1):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise SchemaError(
-                f"{path}: row {row_number} has {len(cells)} fields, expected {len(header)}",
-                row=row_number,
-            )
-        for name, cell in zip(header, cells):
-            cell = cell.strip()
-            if name == "lane_id" and cell == "":
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise SchemaError(
-                    f"{path}: row {row_number}, column {name!r}: cannot parse {cell!r}",
-                    column=name,
-                    row=row_number,
-                ) from None
-            if name == "t":
-                t = value
-        if not math.isfinite(t):
-            raise SchemaError(
-                f"{path}: row {row_number}: timestamp {t!r} is not finite",
-                column="t",
-                row=row_number,
-            )
-        if previous_t is not None and t <= previous_t:
-            raise SchemaError(
-                f"{path}: row {row_number}: timestamps must be strictly increasing",
-                column="t",
-                row=row_number,
-            )
-        previous_t = t
-
-
-def format_drive_log_csv(log: DriveLog) -> str:
-    lines = [",".join(CSV_COLUMNS + ("lane_id",))]
-    for i in range(len(log)):
-        lane = "" if np.isnan(log.lane_id[i]) else repr(float(log.lane_id[i]))
-        lines.append(
-            f"{float(log.t[i])!r},{float(log.dist_left[i])!r},"
-            f"{float(log.dist_right[i])!r},{float(log.v_lon[i])!r},{lane}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def format_profile_csv(series: OffsetSeries) -> str:
-    times = (np.arange(len(series)) * series.dt).tolist()
-    rows = [f"{t!r},{x!r}\n" for t, x in zip(times, series.values.tolist())]
-    return "t,x\n" + "".join(rows)
-
-
-def ingest_segments(paths, config: RunConfig) -> list[Segment]:
-    segments: list[Segment] = []
-    for path in paths:
-        log = read_drive_log_csv(path)
-        track = resample(log, config.sample_rate)
-        segments.extend(
-            extract_segments(
-                track,
-                config,
-                jump_threshold=config.jump_threshold,
-                guard_steps=config.guard_steps,
-            )
-        )
-    return segments
-
-
-def calibrate_from_segments(
-    segments: list[Segment], config: RunConfig, metadata: dict | None = None
-) -> tuple[TwoLevelModel, dict]:
-    """Full calibration: transition estimation plus the spectral fit.
-
-    Returns the model and a summary with segment counts, usable minutes,
-    per-row visit totals, the absorbing rows, and the spectral fit residual.
-    """
-    if not segments:
-        raise CalibrationError("no road-following segments in the input data")
-    params = config.model_params()
-    state_segments = [discretize(seg.series.values, params.n_c) for seg in segments]
-    counts = count_transitions(state_segments, params.n_c)
-    coarse = CoarseModel(
-        n_c=params.n_c,
-        dt=params.dt,
-        transition=transitions_from_counts(counts),
-        smoothing_sigma=params.smoothing_sigma,
-        smoothing_support=params.smoothing_support,
-    )
-    capped = [cap(extract_fine(seg.series, params), params.cap_threshold) for seg in segments]
-    fine, fit = fit_kernel(
-        capped, params, knot_count=config.knot_count, window_length=config.window_length
-    )
-    total_steps = sum(len(seg) for seg in segments)
-    visits = counts.sum(axis=1)
-    model = TwoLevelModel(
-        params=params,
-        coarse=coarse,
-        fine=fine,
-        metadata=dict(metadata or {}),
-    )
-    summary = {
-        "segment_count": len(segments),
-        "usable_minutes": total_steps * params.dt / 60.0,
-        "row_visits": visits.tolist(),
-        # identity fallback rows that observed rows lead into: a walk that
-        # enters one never leaves
-        "absorbing_rows": np.flatnonzero((visits == 0) & (counts.sum(axis=0) > 0)).tolist(),
-        "spectral_windows": fit.window_count,
-        "fit_residual": fit.residual,
-        "knot_values": fit.knot_values.tolist(),
-    }
-    return model, summary
-
-
-def bench_generation(model: TwoLevelModel, steps: int, repetitions: int) -> dict:
-    """Wall times for full, drift-only, and jitter-only generation.
-
-    Phase times are best-of-N; the offline-noise saving is the median of
-    the per-repetition paired (full - coarse) differences, which keeps
-    its sign meaningful when scheduler noise exceeds the jitter share.
-    """
-    if steps < 1 or repetitions < 1:
-        raise ArgumentUsageError("steps and repetitions must be positive")
-    params = model.params
-    duration = steps * params.dt
-    initial_state = discretize(0.0, params.n_c)
-    generate_profile(model, 0.0, duration, 0)  # warm-up
-    full = coarse = noise = float("inf")
-    paired_diffs = []
-    for rep in range(repetitions):
-        start = time.perf_counter()
-        generate_profile(model, 0.0, duration, rep)
-        full_rep = time.perf_counter() - start
-
-        start = time.perf_counter()
-        coarse_profile(model, initial_state, steps, np.random.default_rng(rep))
-        coarse_rep = time.perf_counter() - start
-
-        start = time.perf_counter()
-        generate_noise(model.fine, steps, np.random.default_rng(rep))
-        noise = min(noise, time.perf_counter() - start)
-
-        full = min(full, full_rep)
-        coarse = min(coarse, coarse_rep)
-        paired_diffs.append(full_rep - coarse_rep)
-    return {
-        "steps": steps,
-        "repetitions": repetitions,
-        "full_s": full,
-        "coarse_s": coarse,
-        "noise_s": noise,
-        "saving_s": float(np.median(paired_diffs)),
-        "speedup_vs_realtime": duration / full,
-    }
 
 
 def _utc_now() -> str:
@@ -336,17 +102,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         f"spectral_windows={summary['spectral_windows']} fit_residual={summary['fit_residual']:.4f}"
     )
     print(f"row visits: min={visits.min()} median={int(np.median(visits))} max={visits.max()}")
-    print(f"absorbing rows: {len(summary['absorbing_rows'])} {summary['absorbing_rows']}")
+    print(f"repaired rows: {len(summary['repaired_rows'])} {summary['repaired_rows']}")
     print(f"effective config: {json.dumps(config.to_dict(), sort_keys=True)}")
     return EXIT_OK
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    if not -0.5 <= args.x0 <= 0.5:
-        raise ArgumentUsageError(f"--x0 must lie in [-0.5, 0.5], got {args.x0}")
-    if not model.params.dt <= args.duration < math.inf:
-        raise ArgumentUsageError("--duration must be finite and cover at least one step")
     profile = generate_profile(model, args.x0, args.duration, args.seed)
     atomic_write_text(args.out, format_profile_csv(profile))
     print(f"wrote {len(profile)} steps to {args.out} (seed={args.seed})")
@@ -365,39 +127,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ArgumentUsageError(
             f"{', '.join(mismatched)} must match the model; evaluation takes them from it"
         )
-    try:
-        window_steps(config.snippet_duration, config.dt)
-    except ValueError as exc:
-        raise ArgumentUsageError(str(exc)) from None
-    modes = []
-    for name in args.modes.split(","):
-        try:
-            modes.append(EvalMode.parse(name))
-        except ValueError as exc:
-            raise ArgumentUsageError(str(exc)) from None
+    # the snippet window and the modes are rejected before any tour is read
+    window_steps(config.snippet_duration, config.dt)
+    modes = [EvalMode.parse(name) for name in args.modes.split(",")]
     segments = ingest_segments(args.input, config)
+    reports = evaluate(modes, segments, model, args.seed, snippet_duration=config.snippet_duration)
     out_dir = Path(args.out)
-    for mode in modes:
-        report = run_mode(
-            mode, segments, model, args.seed, snippet_duration=config.snippet_duration
-        )
+    for report in reports:
         document = report.to_dict()
         document["config"] = config.to_dict()
-        atomic_write_text(out_dir / f"report_{mode.value}.json", json.dumps(document, indent=2) + "\n")
-        atomic_write_text(out_dir / f"summary_{mode.value}.csv", summarize(report))
+        name = report.mode.value
+        atomic_write_text(out_dir / f"report_{name}.json", json.dumps(document, indent=2) + "\n")
+        atomic_write_text(out_dir / f"summary_{name}.csv", summarize(report))
         worst = max(report.ks, key=report.ks.get)
-        print(
-            f"mode={mode.value} snippets={report.snippet_count} "
-            f"max_ks={report.ks[worst]:.4f} ({worst})"
-        )
+        print(f"mode={name} snippets={report.snippet_count} max_ks={report.ks[worst]:.4f} ({worst})")
     print(f"reports written to {out_dir}")
     return EXIT_OK
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    for flag, value in (("--minutes", args.minutes), ("--lane-width", args.lane_width)):
-        if not 0 < value < math.inf:
-            raise ArgumentUsageError(f"{flag} must be positive and finite, got {value}")
     spec = SyntheticSpec(
         n_c=args.n_c,
         dt=args.dt,

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidSampleError
+from .errors import ArgumentUsageError, InvalidSampleError
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
 
@@ -28,6 +28,11 @@ _PARAM_FLOAT_FIELDS = (
     "sample_rate",
     "snippet_duration",
 )
+# Upper bounds checked before anything is sized from the parameters:
+# the transition matrix holds n_c**2 entries, and the Gaussian smoothing
+# kernel has 2 * round(smoothing_support / dt) + 1 taps.
+MAX_N_C = 1000
+MAX_SMOOTHING_STEPS = 500
 
 
 @dataclass(frozen=True)
@@ -50,12 +55,17 @@ class ModelParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.n_c < 2:
-            raise ValueError(f"n_c must be >= 2, got {self.n_c}")
+        if not 2 <= self.n_c <= MAX_N_C:
+            raise ValueError(f"n_c must lie in [2, {MAX_N_C}], got {self.n_c}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.smoothing_support < self.smoothing_sigma:
-            raise ValueError("smoothing_support must be >= smoothing_sigma")
+        if not 0 < self.smoothing_sigma <= self.smoothing_support:
+            raise ValueError("smoothing_sigma must be positive and at most smoothing_support")
+        if not 1 <= self.smoothing_support / self.dt <= MAX_SMOOTHING_STEPS:
+            raise ValueError(
+                f"smoothing_support must cover 1 to {MAX_SMOOTHING_STEPS} steps of dt, "
+                f"got {self.smoothing_support / self.dt:g}"
+            )
         if self.cap_threshold <= 0:
             raise ValueError("cap_threshold must be positive")
         if abs(self.sample_rate * self.dt - 1.0) > 1e-9:
@@ -85,6 +95,9 @@ class RunConfig(ModelParams):
             raise ValueError(
                 f"jump_threshold must be positive and finite, got {self.jump_threshold!r}"
             )
+        # the spectral fit places knot_count knots on the window's rFFT bins
+        if self.knot_count > self.window_length // 2 + 1:
+            raise ValueError(f"knot_count {self.knot_count} exceeds the window's frequency bins")
 
     def model_params(self) -> ModelParams:
         return ModelParams(**{f.name: getattr(self, f.name) for f in fields(ModelParams)})
@@ -190,5 +203,7 @@ def as_generator(seed: SeedLike) -> np.random.Generator:
 
 def seed_children(seed, n: int) -> list[np.random.SeedSequence]:
     """Derive n independent child seeds from a master seed."""
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise ArgumentUsageError(f"seed must be non-negative, got {seed}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return ss.spawn(n)

@@ -5,6 +5,10 @@ class LaneweaveError(Exception):
     """Base class for all package errors."""
 
 
+class ArgumentUsageError(LaneweaveError, ValueError):
+    """A run argument or setting is outside the range the library accepts."""
+
+
 class InvalidSampleError(LaneweaveError):
     """A drive-log sample has unusable lane-marking distances."""
 

@@ -13,10 +13,11 @@ from typing import Sequence
 import numpy as np
 
 from .core import OffsetSeries, seed_children
-from .errors import EvaluationError, MetricError
+from .errors import ArgumentUsageError, EvaluationError, MetricError
 from .generator import TwoLevelModel, coarse_profile, generate_profile
 from .markov import discretize
 from .noise import generate_noise, measured_coarse
+from .preprocessing import Segment
 
 METRIC_NAMES = (
     "x_max",
@@ -49,7 +50,7 @@ class EvalMode(str, Enum):
             if key in (mode.value, mode.name.lower()):
                 return mode
         valid = ", ".join(mode.value for mode in cls)
-        raise ValueError(f"unknown evaluation mode {name!r}; valid modes: {valid}")
+        raise ArgumentUsageError(f"unknown evaluation mode {name!r}; valid modes: {valid}")
 
 
 def compute_metrics(values) -> np.ndarray:
@@ -87,9 +88,9 @@ def window_steps(duration: float, dt: float) -> int:
     """Samples per snippet window; the duration must be a whole multiple
     of dt covering at least the two samples the metrics need."""
     steps = duration / dt
-    w = int(round(steps))
+    w = round(steps) if math.isfinite(steps) else 0
     if w < 2 or abs(steps - w) > 1e-6:
-        raise ValueError(
+        raise ArgumentUsageError(
             f"snippet duration {duration} is not a multiple of dt {dt} covering at least 2 steps"
         )
     return w
@@ -101,11 +102,11 @@ def _windows(values: np.ndarray, w: int) -> np.ndarray:
     return values[: values.size // w * w].reshape(-1, w)
 
 
-def split_snippets(segments: Sequence, duration: float) -> list[OffsetSeries]:
-    """Consecutive non-overlapping windows per segment, as run_mode cuts them."""
+def split_snippets(segments: Sequence[Segment], duration: float) -> list[OffsetSeries]:
+    """Consecutive non-overlapping windows per segment, as evaluate cuts them."""
     snippets = []
     for seg in segments:
-        series = seg.series if hasattr(seg, "series") else seg
+        series = seg.series
         w = window_steps(duration, series.dt)
         snippets.extend(OffsetSeries(series.dt, row) for row in _windows(series.values, w))
     return snippets
@@ -195,77 +196,88 @@ def _population_summary(values: np.ndarray) -> dict:
 
 
 def run_mode(
-    mode,
-    real_segments: Sequence,
+    mode: EvalMode,
+    real_segments: Sequence[Segment],
     model: TwoLevelModel,
     rng_seed: int | None = 0,
     *,
     snippet_duration: float | None = None,
 ) -> EvaluationReport:
-    """Build the paired artificial population for one mode and compare.
+    """The report of evaluate for a single mode."""
+    (report,) = evaluate([mode], real_segments, model, rng_seed, snippet_duration=snippet_duration)
+    return report
 
-    Every real snippet gets an artificial counterpart of the same length
-    and initial offset. Modes that sample derive one child stream per
-    snippet from rng_seed, so reports repeat exactly under the same seed.
+
+def evaluate(
+    modes: Sequence[EvalMode],
+    real_segments: Sequence[Segment],
+    model: TwoLevelModel,
+    rng_seed: int | None = 0,
+    *,
+    snippet_duration: float | None = None,
+) -> list[EvaluationReport]:
+    """Build the paired artificial population of each mode and compare,
+    one report per mode in the given order.
+
+    The real side (the snippets, their measured drift and capped residual,
+    and their metrics) is built once and shared by every mode. Every real
+    snippet gets an artificial counterpart of the same length and initial
+    offset. Each mode derives one child stream per snippet from rng_seed,
+    so reports repeat exactly under the same seed.
     """
-    mode = mode if isinstance(mode, EvalMode) else EvalMode.parse(mode)
     params = model.params
     duration = params.snippet_duration if snippet_duration is None else snippet_duration
     w = window_steps(duration, params.dt)
     shift_steps = int(round(SHIFT_SECONDS / params.dt))
 
-    blocks = []
+    tracks = []
     for seg in real_segments:
-        series = seg.series if hasattr(seg, "series") else seg
-        if abs(series.dt - params.dt) > 1e-12:
+        if abs(seg.series.dt - params.dt) > 1e-12:
             raise ValueError("segment dt does not match the model dt")
-        x = series.values
+        x = seg.series.values
         drift = measured_coarse(x, params).values
-        capped = np.clip(x - drift, -params.cap_threshold, params.cap_threshold)
-        if mode is EvalMode.SHIFT_TEST:
-            capped = np.roll(capped, shift_steps)
-        blocks.append(tuple(_windows(v, w) for v in (x, drift, capped)))
+        tracks.append((x, drift, np.clip(x - drift, -params.cap_threshold, params.cap_threshold)))
+    blocks = [tuple(_windows(v, w) for v in track) for track in tracks]
     if not any(len(windows) for windows, _, _ in blocks):
         raise EvaluationError("no snippets: every segment is shorter than the snippet window")
     real, drift, capped = (np.concatenate(parts) for parts in zip(*blocks))
-
-    children = seed_children(rng_seed, real.shape[0])
-    if mode is EvalMode.SHIFT_TEST:
-        art = drift + capped
-    elif mode is EvalMode.COARSE_ONLY:
-        initial = discretize(real[:, 0], params.n_c).tolist()
-        coarse = [
-            coarse_profile(model, state, w, np.random.default_rng(child))
-            for state, child in zip(initial, children)
-        ]
-        art = np.array(coarse) + capped
-    elif mode is EvalMode.FINE_ONLY:
-        noise = [
-            generate_noise(model.fine, w, np.random.default_rng(child)).values
-            for child in children
-        ]
-        art = drift + np.array(noise)
-    else:
-        starts = np.clip(real[:, 0], -0.5, 0.5).tolist()
-        profiles = [
-            generate_profile(model, x0, duration, child).values
-            for x0, child in zip(starts, children)
-        ]
-        art = np.array(profiles)
-
     real_rows = compute_metrics(real)
-    art_rows = compute_metrics(art)
-    ks = {
-        name: ks_distance(real_rows[:, j], art_rows[:, j])
-        for j, name in enumerate(METRIC_NAMES)
-    }
-    return EvaluationReport(
-        mode=mode,
-        real=real_rows,
-        artificial=art_rows,
-        ks=ks,
-        seed=None if rng_seed is None else int(rng_seed),
-    )
+    seed = None if rng_seed is None else int(rng_seed)
+
+    reports = []
+    for mode in modes:
+        children = seed_children(rng_seed, real.shape[0])
+        if mode is EvalMode.SHIFT_TEST:
+            shifted = [_windows(np.roll(c, shift_steps), w) for _, _, c in tracks]
+            art = drift + np.concatenate(shifted)
+        elif mode is EvalMode.COARSE_ONLY:
+            initial = discretize(real[:, 0], params.n_c).tolist()
+            coarse = [
+                coarse_profile(model, state, w, np.random.default_rng(child))
+                for state, child in zip(initial, children)
+            ]
+            art = np.array(coarse) + capped
+        elif mode is EvalMode.FINE_ONLY:
+            noise = [
+                generate_noise(model.fine, w, np.random.default_rng(child)).values
+                for child in children
+            ]
+            art = drift + np.array(noise)
+        else:
+            starts = np.clip(real[:, 0], -0.5, 0.5).tolist()
+            profiles = [
+                generate_profile(model, x0, duration, child).values
+                for x0, child in zip(starts, children)
+            ]
+            art = np.array(profiles)
+
+        art_rows = compute_metrics(art)
+        ks = {
+            name: ks_distance(real_rows[:, j], art_rows[:, j])
+            for j, name in enumerate(METRIC_NAMES)
+        }
+        reports.append(EvaluationReport(mode, real=real_rows, artificial=art_rows, ks=ks, seed=seed))
+    return reports
 
 
 def summarize(report: EvaluationReport) -> str:

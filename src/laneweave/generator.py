@@ -4,6 +4,7 @@ persist calibrated models as versioned JSON documents."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -12,11 +13,14 @@ from pathlib import Path
 import numpy as np
 
 from .core import ModelParams, OffsetSeries, SeedLike, seed_children
-from .errors import ModelFormatError
+from .errors import ArgumentUsageError, ModelFormatError
 from .markov import CoarseModel, discretize, sample_chain, smooth_values, state_centers
 from .noise import FineModel, generate_noise
 
 FORMAT_VERSION = 1
+# Longest profile generate_profile builds: about 23 days at 5 Hz. Each
+# step holds a few float64 working arrays, and its CSV row ~40 bytes.
+MAX_PROFILE_STEPS = 10_000_000
 
 _PARAM_FILE_FIELDS = (
     "n_c",
@@ -69,15 +73,18 @@ def generate_profile(
 ) -> OffsetSeries:
     """Full artificial offset profile: drift plus independent jitter.
 
-    The step count is duration rounded to whole steps (at least one); the
-    output is a pure function of (model, initial_offset, duration, seed).
+    The step count is duration rounded to whole steps; the output is a
+    pure function of (model, initial_offset, duration, seed).
     """
     params = model.params
     if not -0.5 <= initial_offset <= 0.5:
-        raise ValueError(f"initial offset {initial_offset!r} outside [-0.5, 0.5]")
-    if duration < params.dt:
-        raise ValueError("duration must cover at least one step")
-    n_steps = max(1, int(round(duration / params.dt)))
+        raise ArgumentUsageError(f"initial offset {initial_offset!r} outside [-0.5, 0.5]")
+    if not params.dt <= duration < math.inf:
+        raise ArgumentUsageError(f"duration {duration!r} must be finite and at least one step")
+    steps = duration / params.dt
+    if steps > MAX_PROFILE_STEPS:
+        raise ArgumentUsageError(f"duration {duration!r} s exceeds {MAX_PROFILE_STEPS} steps")
+    n_steps = round(steps)
     rng_coarse, rng_fine = derive_streams(seed)
     drift = coarse_profile(model, discretize(initial_offset, params.n_c), n_steps, rng_coarse)
     jitter = generate_noise(model.fine, n_steps, rng_fine).values
@@ -178,7 +185,6 @@ def model_from_dict(doc: dict) -> TwoLevelModel:
             kernel_taps=_require_floats(raw_fine, "kernel_taps", "fine section"),
             dt=params.dt,
             noise_halfwidth=float(_require(raw_fine, "noise_halfwidth", "fine section")),
-            cap_threshold=params.cap_threshold,
         )
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"invalid fine model: {exc}") from None
@@ -200,6 +206,8 @@ def load_model(source) -> TwoLevelModel:
         doc = json.loads(path.read_text())
     except FileNotFoundError:
         raise ModelFormatError(f"model file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelFormatError(f"cannot read model file {path}: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from None
     return model_from_dict(doc)

@@ -75,15 +75,27 @@ def count_transitions(state_segments: Iterable[np.ndarray], n_c: int) -> np.ndar
 
 
 def transitions_from_counts(counts: np.ndarray) -> np.ndarray:
-    """Maximum-likelihood row normalization; unobserved rows fall back to a
-    self-transition so every row stays a probability distribution."""
+    """Maximum-likelihood row normalization of the visited rows.
+
+    A row the data never leaves moves with probability 1 one bin toward
+    the nearest visited bin (on a tie, toward the lane centre, and from
+    the centre bin itself toward the lower one), so no walk is trapped in
+    a state the data does not describe: every state reaches a visited one
+    within n_c steps.
+    """
     counts = np.asarray(counts, dtype=np.float64)
     totals = counts.sum(axis=1)
     if totals.sum() == 0:
         raise CalibrationError("no state transitions in the calibration data")
-    transition = np.eye(counts.shape[0], dtype=np.float64)
+    n_c = counts.shape[0]
+    transition = np.zeros((n_c, n_c), dtype=np.float64)
     seen = totals > 0
     transition[seen] = counts[seen] / totals[seen, None]
+    visited = np.flatnonzero(seen).tolist()
+    centre = (n_c - 1) / 2
+    for row in np.flatnonzero(~seen).tolist():
+        target = min(visited, key=lambda v: (abs(v - row), abs(v - centre)))
+        transition[row, row + (1 if target > row else -1)] = 1.0
     return transition
 
 

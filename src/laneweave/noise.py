@@ -17,12 +17,10 @@ from .markov import discretize, gaussian_kernel, smooth_values, state_centers
 OVERLAP = 0.5  # fraction shared by consecutive spectral windows
 KERNEL_HALF_SUPPORT = 2.0  # seconds
 DENSE_SIZE = 4096  # response samples behind kernel_from_damping
-
-
-def _values(series) -> np.ndarray:
-    if isinstance(series, OffsetSeries):
-        return series.values
-    return np.asarray(series, dtype=np.float64)
+# Longest kernel a FineModel accepts: every kernel kernel_from_damping
+# builds fits (at most the whole dense response on each side), and each
+# generated step costs one multiply per tap.
+MAX_KERNEL_TAPS = 2 * DENSE_SIZE
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,12 +30,13 @@ class FineModel:
     kernel_taps: np.ndarray
     dt: float
     noise_halfwidth: float
-    cap_threshold: float
 
     def __post_init__(self):
         taps = np.asarray(self.kernel_taps, dtype=np.float64)
         if taps.ndim != 1 or taps.size < 1:
             raise ValueError("kernel taps must be a non-empty 1-D array")
+        if taps.size > MAX_KERNEL_TAPS:
+            raise ValueError(f"{taps.size} kernel taps exceed the limit of {MAX_KERNEL_TAPS}")
         if not np.all(np.isfinite(taps)):
             raise ValueError("kernel taps must be finite")
         if self.dt <= 0:
@@ -46,8 +45,6 @@ class FineModel:
             raise ValueError(
                 f"noise_halfwidth must be positive and finite, got {self.noise_halfwidth!r}"
             )
-        if self.cap_threshold <= 0:
-            raise ValueError("cap_threshold must be positive")
         object.__setattr__(self, "kernel_taps", taps)
 
     @property
@@ -85,19 +82,18 @@ class SpectrumFit:
         return np.interp(frequencies, self.knot_frequencies, self.knot_values)
 
 
-def measured_coarse(series, params: ModelParams) -> OffsetSeries:
-    """Smoothed stepwise track underlying a measured series: values are
+def measured_coarse(x: np.ndarray, params: ModelParams) -> OffsetSeries:
+    """Smoothed stepwise track underlying measured values: they are
     snapped to the bin-center grid the chain lives on, then smoothed."""
-    x = _values(series)
     snapped = state_centers(params.n_c)[discretize(x, params.n_c)]
     taps = gaussian_kernel(params.smoothing_sigma, params.smoothing_support, params.dt)
     return OffsetSeries(params.dt, smooth_values(snapped, taps))
 
 
-def extract_fine(x_meas, params: ModelParams) -> OffsetSeries:
+def extract_fine(x_meas: OffsetSeries, params: ModelParams) -> OffsetSeries:
     """Residual of a measured series after removing its snapped-and-smoothed
     coarse track. Adding the two back reproduces the input exactly."""
-    x = _values(x_meas)
+    x = x_meas.values
     coarse = measured_coarse(x, params)
     return OffsetSeries(params.dt, x - coarse.values)
 
@@ -111,7 +107,7 @@ def cap(phi: OffsetSeries, threshold: float) -> OffsetSeries:
 
 
 def average_magnitude_spectrum(
-    segments: Sequence,
+    segments: Sequence[np.ndarray],
     window_length: int = RunConfig.window_length,
     *,
     dt: float,
@@ -127,8 +123,7 @@ def average_magnitude_spectrum(
     hop = max(1, int(round(window_length * (1.0 - OVERLAP))))
     acc = np.zeros(window_length // 2 + 1)
     count = 0
-    for seg in segments:
-        v = _values(seg)
+    for v in segments:
         for start in range(0, v.size - window_length + 1, hop):
             acc += np.abs(np.fft.rfft(v[start : start + window_length]))
             count += 1
@@ -179,7 +174,7 @@ def _hat_basis(frequencies: np.ndarray, knot_frequencies: np.ndarray) -> np.ndar
 
 
 def fit_kernel(
-    phi_corr_segments: Sequence,
+    phi_corr_segments: Sequence[OffsetSeries],
     params: ModelParams,
     knot_count: int = RunConfig.knot_count,
     window_length: int = RunConfig.window_length,
@@ -193,7 +188,7 @@ def fit_kernel(
     """
     if knot_count < 2:
         raise ValueError("knot_count must be >= 2")
-    seg_values = [_values(s) for s in phi_corr_segments]
+    seg_values = [s.values for s in phi_corr_segments]
     total = sum(v.size for v in seg_values)
     required = 8 * window_length
     if total < required:
@@ -217,7 +212,6 @@ def fit_kernel(
         kernel_taps=taps,
         dt=params.dt,
         noise_halfwidth=params.cap_threshold,
-        cap_threshold=params.cap_threshold,
     )
     fit = SpectrumFit(
         frequencies=freqs,

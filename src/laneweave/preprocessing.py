@@ -8,7 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DriveLog, ModelParams, OffsetSeries, RunConfig, relative_offset
-from .errors import EmptySeriesError
+from .errors import EmptySeriesError, SchemaError
+
+# Most grid points resample builds from one tour, about 23 days at 5 Hz;
+# each point holds a dozen float64 working values.
+MAX_GRID_POINTS = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,10 +58,16 @@ def resample(log: DriveLog, target_rate: float) -> ResampledTrack:
         raise EmptySeriesError(f"need at least 2 valid samples, got {n_valid}")
 
     t = log.t
+    span = (t[-1] - t[0]) * target_rate
+    if not span < MAX_GRID_POINTS:
+        raise SchemaError(
+            f"tour {log.tour_id!r} spans {float(t[-1] - t[0])!r} s, more than "
+            f"{MAX_GRID_POINTS} grid points at {target_rate:g} Hz"
+        )
     offsets_src = np.full(t.size, np.nan)
     offsets_src[valid_src] = relative_offset(log.dist_left[valid_src], log.dist_right[valid_src])
 
-    n_grid = int(np.floor((t[-1] - t[0]) * target_rate + 1e-9)) + 1
+    n_grid = int(np.floor(span + 1e-9)) + 1
     grid = t[0] + np.arange(n_grid) / target_rate
     left = np.clip(np.searchsorted(t, grid, side="right") - 1, 0, t.size - 2)
     weight = np.clip((grid - t[left]) / (t[left + 1] - t[left]), 0.0, 1.0)

@@ -4,12 +4,13 @@ without any recorded data."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DriveLog, ModelParams
-from .errors import SyntheticSpecError
+from .errors import ArgumentUsageError, SyntheticSpecError
 from .generator import TwoLevelModel, generate_profile
 from .markov import CoarseModel
 from .noise import FineModel, kernel_from_damping
@@ -108,7 +109,6 @@ def make_model(spec: SyntheticSpec) -> TwoLevelModel:
             kernel_taps=taps,
             dt=spec.dt,
             noise_halfwidth=params.cap_threshold,
-            cap_threshold=params.cap_threshold,
         )
     except ValueError as exc:
         raise SyntheticSpecError(str(exc)) from None
@@ -134,8 +134,8 @@ def simulate_drive_log(
 ) -> DriveLog:
     """Invert the offset convention: emit marking distances for a generated
     profile at the model rate, with constant longitudinal velocity."""
-    if lane_width <= 0:
-        raise ValueError("lane_width must be positive")
+    if not 0 < lane_width < math.inf:
+        raise ArgumentUsageError(f"lane_width must be positive and finite, got {lane_width!r}")
     profile = generate_profile(model, initial_offset, duration, seed)
     x = profile.values
     return DriveLog(

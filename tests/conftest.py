@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from laneweave.cli import RunConfig, calibrate_from_segments
-from laneweave.core import ModelParams
+from laneweave.core import ModelParams, RunConfig
+from laneweave.pipeline import calibrate_from_segments
 from laneweave.preprocessing import extract_segments, resample
 from laneweave.synthetic import (
     SyntheticSpec,

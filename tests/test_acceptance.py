@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from laneweave.cli import RunConfig, bench_generation, main
-from laneweave.core import seed_children
+from laneweave.cli import main
+from laneweave.core import OffsetSeries, seed_children
 from laneweave.evaluation import (
     METRIC_NAMES,
     EvalMode,
@@ -29,6 +29,7 @@ from laneweave.noise import (
     measured_coarse,
     uniform_noise_floor,
 )
+from laneweave.pipeline import bench_generation
 from laneweave.synthetic import REFERENCE_DAMPING
 
 from _oracles import brute_force_metrics
@@ -69,7 +70,9 @@ def _timed(fn) -> float:
 
 def test_criterion_02_offline_noise_saving(reference_model):
     """Full generation must cost measurably more than the drift alone."""
-    row = bench_generation(reference_model, 200_000, 5)
+    # about one single pair in ten reads <= 0 on a shared host; the median
+    # of 5 pairs did so in 1-2% of calls, the median of 15 in none of 210
+    row = bench_generation(reference_model, 200_000, 15)
     _report(
         2,
         row["saving_s"] > 0.0 and row["noise_s"] > 0.0,
@@ -124,7 +127,10 @@ def test_criterion_05_decomposition_losslessness(params):
     worst = 0.0
     for _ in range(100):
         x = rng.uniform(-0.5, 0.5, rng.integers(2, 200))
-        reconstructed = extract_fine(x, params).values + measured_coarse(x, params).values
+        reconstructed = (
+            extract_fine(OffsetSeries(params.dt, x), params).values
+            + measured_coarse(x, params).values
+        )
         worst = max(worst, float(np.abs(reconstructed - x).max()))
     _report(5, worst <= 1e-12, f"worst reconstruction error {worst:.2e} over 100 series (limit 1e-12)")
 
@@ -159,7 +165,7 @@ def test_criterion_07_spectral_consistency(calibrated):
     freqs = None
     for k in range(100):
         out = generate_noise(fine, 16384, np.random.default_rng([707, k]))
-        freqs, mag, count = average_magnitude_spectrum([out], 256, dt=params.dt)
+        freqs, mag, count = average_magnitude_spectrum([out.values], 256, dt=params.dt)
         acc += mag * count
         total += count
     measured = acc / total
@@ -287,7 +293,7 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
 # purpose. The model is hashed as saved, minus its creation timestamp.
 PIPELINE_DIGESTS = {
     "tour.csv": "bf1d1d1cc3343919f75d2e78f3feec1db8d3344b1736756d98a2c165c041c8ba",
-    "model.json": "8f85773c6102e23d900aed821c8c7622c305c817147feae4ccc105f9ad934540",
+    "model.json": "a4f61cb6ec09025cc462c5874fbe9ed4fe67583312d8faa33dbd2bf471aac2e5",
     "profile.csv": "472c729e059a0f86709c5da8bddf6c9ecc83976729c43b6d10cc04414071a53d",
     "report_shift.json": "a5bb365c46f9c1b3598e6590ceceb3b0e2a4cfc2000405c4afbf7ec947b7c2e0",
     "summary_shift.csv": "101e487e96be601e08dfdf7a614d493241a8cbeada18f2732c13a3ad0b649d1a",

@@ -1,28 +1,26 @@
 import json
 import math
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from laneweave import evaluation
 from laneweave.cli import (
     EXIT_ARGUMENT,
     EXIT_CALIBRATION,
     EXIT_OK,
     EXIT_SCHEMA,
-    ArgumentUsageError,
-    RunConfig,
-    bench_generation,
-    calibrate_from_segments,
     main,
-    read_drive_log_csv,
     resolve_config,
 )
-from laneweave.core import OffsetSeries
-from laneweave.errors import SchemaError
+from laneweave.core import OffsetSeries, RunConfig
+from laneweave.errors import ArgumentUsageError, SchemaError
 from laneweave.generator import load_model
-from laneweave.markov import state_centers
+from laneweave.markov import discretize, state_centers
+from laneweave.pipeline import bench_generation, calibrate_from_segments, read_drive_log_csv
 from laneweave.preprocessing import Segment
 
 
@@ -88,8 +86,8 @@ class TestCalibrate:
         assert "created_at" in model.metadata
 
     def test_absorbing_row_is_reported(self):
-        # states 0 0 1 0 0 2: row 2 is entered but never left, so it falls
-        # back to the identity row and traps every walk that enters it
+        # states 0 0 1 0 0 2: row 2 is entered but never left, and row 3 is
+        # never visited; an identity row would trap every walk entering 2
         config = RunConfig(n_c=4)
         centers = state_centers(4)
         walk = Segment(0.0, OffsetSeries(config.dt, centers[[0, 0, 1, 0, 0, 2]]))
@@ -97,14 +95,15 @@ class TestCalibrate:
         jitter = np.random.default_rng(0).uniform(-0.05, 0.05, 8 * config.window_length)
         stay = Segment(10.0, OffsetSeries(config.dt, centers[0] + jitter))
         model, summary = calibrate_from_segments([walk, stay], config)
-        assert summary["absorbing_rows"] == [2]
-        assert model.coarse.transition[2].tolist() == [0.0, 0.0, 1.0, 0.0]
-        assert summary["row_visits"][3] == 0
+        assert summary["repaired_rows"] == [2, 3]
+        assert model.coarse.transition[2].tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert model.coarse.transition[3].tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert summary["row_visits"][2:] == [0, 0]
 
-    def test_prints_absorbing_rows(self, capsys, tmp_path, tour_csv):
+    def test_prints_repaired_rows(self, capsys, tmp_path, tour_csv):
         code = main(["calibrate", "--input", str(tour_csv), "--out", str(tmp_path / "m.json")])
         assert code == EXIT_OK
-        assert "absorbing rows: " in capsys.readouterr().out
+        assert "repaired rows: 4 [0, 1, 2, 3]" in capsys.readouterr().out
 
     def test_header_only_csv_is_insufficient_data(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -209,6 +208,17 @@ class TestGenerate:
             assert main(args) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_walk_started_in_a_repaired_edge_bin_leaves_it(self, tmp_path, model_file):
+        # the pinned tour never reaches bins 0-3; with identity rows there,
+        # a walk started in bin 3 stayed in [-0.354, -0.297] for good
+        assert discretize(-0.33, 20) == 3
+        out = tmp_path / "p.csv"
+        args = ["generate", "--model", str(model_file), "--x0", "-0.33", "--duration", "600"]
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        x = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+        # above bin 3 by more than the jitter can add to a drift held in it
+        assert x.max() > -0.30 + load_model(model_file).fine.output_bound
+
     def test_out_of_range_x0_is_argument_error(self, tmp_path, model_file):
         code = main(
             [
@@ -298,6 +308,14 @@ class TestEvaluate:
         assert len(document["metrics"]) == 10
         summary = (out_dir / "summary_full.csv").read_text().strip().splitlines()
         assert len(summary) == 21
+
+    def test_real_side_is_built_once(self, tmp_path, model_file, tour_csv):
+        args = ["evaluate", "--model", str(model_file), "--input", str(tour_csv)]
+        args += ["--modes", "shift,coarse,fine,full", "--out", str(tmp_path / "r")]
+        with mock.patch.object(evaluation, "compute_metrics", wraps=evaluation.compute_metrics) as spy:
+            assert main(args) == EXIT_OK
+        # the real snippets once, then each mode's artificial population
+        assert spy.call_count == 1 + 4
 
     def test_unknown_mode_is_argument_error(self, tmp_path, model_file, tour_csv):
         code = main(

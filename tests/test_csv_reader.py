@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laneweave import cli
-from laneweave.cli import read_drive_log_csv
+from laneweave import pipeline
+from laneweave.pipeline import read_drive_log_csv
 from laneweave.errors import SchemaError
 
 from _oracles import brute_force_read_drive_log_csv
@@ -186,5 +186,5 @@ def csv_texts(draw):
 def test_any_csv_matches_oracle(tmp_path_factory, text, chunk_rows):
     path = write(tmp_path_factory.mktemp("csv"), text)
     # small chunks put chunk seams inside these short files
-    with mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(pipeline, "CSV_CHUNK_ROWS", chunk_rows):
         assert_matches_oracle(path)

@@ -115,9 +115,6 @@ class TestSplitSnippets:
         segments = [segment(np.zeros(125)), segment(np.zeros(155))]
         assert len(split_snippets(segments, 10.0)) == 5
 
-    def test_accepts_bare_series(self):
-        assert len(split_snippets([series(np.zeros(100))], 10.0)) == 2
-
     def test_duration_must_be_step_multiple(self):
         with pytest.raises(ValueError):
             split_snippets([segment(np.zeros(100))], 10.1)

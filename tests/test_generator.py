@@ -87,7 +87,7 @@ class TestModelConsistency:
             TwoLevelModel(params, reference_model.coarse, reference_model.fine)
 
     def test_dt_mismatch_rejected(self, reference_model):
-        bad_fine = FineModel(np.ones(1), 0.1, 0.03, 0.03)
+        bad_fine = FineModel(np.ones(1), 0.1, 0.03)
         with pytest.raises(ValueError):
             TwoLevelModel(reference_model.params, reference_model.coarse, bad_fine)
 

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+import hypothesis.extra.numpy as hnp
+from hypothesis import given, settings, strategies as st
 
 from laneweave.errors import CalibrationError
 from laneweave.markov import (
@@ -14,6 +15,7 @@ from laneweave.markov import (
     sample_chain,
     smooth_values,
     state_centers,
+    transitions_from_counts,
 )
 from laneweave.synthetic import banded_transition
 
@@ -146,8 +148,56 @@ class TestEstimateTransitions:
         assert np.allclose(t, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_self_transitions_only(self):
+        # only bin 3 is visited: every other row steps one bin toward it
         t = estimate_transitions([np.array([3, 3, 3, 3])], 8)
-        assert np.allclose(t, np.eye(8))
+        expected = np.zeros((8, 8))
+        expected[3, 3] = 1.0
+        for row in (0, 1, 2):
+            expected[row, row + 1] = 1.0
+        for row in (4, 5, 6, 7):
+            expected[row, row - 1] = 1.0
+        assert np.array_equal(t, expected)
+
+    def test_edge_row_on_a_tie_steps_toward_the_centre(self):
+        # bin 2 is as far from bin 0 as from bin 4; the centre is bin 2
+        counts = np.zeros((5, 5), dtype=np.int64)
+        counts[0, 0] = counts[4, 4] = 1
+        t = transitions_from_counts(counts)
+        assert t[1].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert t[3].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+        assert t[2].tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
+        counts = np.zeros((6, 6), dtype=np.int64)
+        counts[0, 0] = counts[4, 4] = 1
+        assert transitions_from_counts(counts)[2].tolist() == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.integers(2, 9)
+        .flatmap(lambda n: hnp.arrays(np.int64, (n, n), elements=st.integers(0, 3)))
+        .filter(lambda counts: counts.sum() > 0)
+    )
+    def test_repaired_chain_traps_no_walk(self, counts):
+        n_c = counts.shape[0]
+        t = transitions_from_counts(counts)
+        visited = counts.sum(axis=1) > 0
+        assert np.array_equal(t[visited], counts[visited] / counts[visited].sum(axis=1, keepdims=True))
+        assert np.abs(t.sum(axis=1) - 1.0).max() <= 1e-12
+        step = (t > 0).astype(np.int64)
+        # states reachable in exactly k steps, k = 1..n_c
+        frontier = np.eye(n_c, dtype=np.int64)
+        reaches_visited = visited.copy()
+        for _ in range(n_c):
+            frontier = np.minimum(frontier @ step, 1)
+            reaches_visited |= (frontier[:, visited] > 0).any(axis=1)
+        assert reaches_visited.all()
+        # a state lies in a closed class when every state it reaches leads
+        # back to it; no such class is made of repaired states alone
+        reach = np.eye(n_c, dtype=np.int64)
+        for _ in range(n_c):
+            reach = np.minimum(reach + reach @ step, 1)
+        for i in np.flatnonzero(np.all((reach == 0) | (reach.T > 0), axis=1)):
+            members = (reach[i] > 0) & (reach[:, i] > 0)
+            assert visited[members].any()
 
     def test_segment_boundary_not_counted(self):
         t = estimate_transitions([np.array([0, 1]), np.array([1, 0])], 2)

@@ -51,7 +51,7 @@ class TestExtractFine:
         rng = np.random.default_rng(21)
         for _ in range(100):
             x = rng.uniform(-0.5, 0.5, rng.integers(2, 120))
-            phi = extract_fine(x, params).values
+            phi = extract_fine(series(x), params).values
             coarse = measured_coarse(x, params).values
             assert np.abs((phi + coarse) - x).max() <= 1e-12
 
@@ -132,7 +132,7 @@ class TestFitKernel:
         segs = []
         for _ in range(4):
             drive = rng.uniform(-0.03, 0.03, 4000 + reference_taps.size - 1)
-            segs.append(np.convolve(drive, reference_taps, mode="valid"))
+            segs.append(series(np.convolve(drive, reference_taps, mode="valid")))
         fine, fit = fit_kernel(segs, params)
         truth = np.array([1.0, 1.0, 0.8, 0.5, 0.3, 0.2])
         rel = np.linalg.norm(fit.knot_values - truth) / np.linalg.norm(truth)
@@ -141,54 +141,54 @@ class TestFitKernel:
 
     def test_white_input_fits_flat_unit_damping(self, params):
         rng = np.random.default_rng(18)
-        segs = [rng.uniform(-0.03, 0.03, 8000) for _ in range(2)]
+        segs = [series(rng.uniform(-0.03, 0.03, 8000)) for _ in range(2)]
         _, fit = fit_kernel(segs, params)
         assert np.abs(fit.knot_values - 1.0).max() <= 0.10
 
     def test_zero_signal_fits_zero(self, params):
-        fine, fit = fit_kernel([np.zeros(4096)], params)
+        fine, fit = fit_kernel([series(np.zeros(4096))], params)
         assert np.allclose(fit.knot_values, 0.0, atol=1e-12)
         noise = generate_noise(fine, 1000, 3)
         assert np.abs(noise.values).max() <= 1e-12
 
     def test_insufficient_data_names_shortfall(self, params):
         with pytest.raises(CalibrationError, match="2048"):
-            fit_kernel([np.zeros(500)], params)
+            fit_kernel([series(np.zeros(500))], params)
 
     def test_knot_grid_spans_nyquist(self, params):
-        _, fit = fit_kernel([np.zeros(4096)], params)
+        _, fit = fit_kernel([series(np.zeros(4096))], params)
         assert fit.knot_frequencies[0] == 0.0
         assert fit.knot_frequencies[-1] == pytest.approx(params.sample_rate / 2)
 
 
 class TestGenerateNoise:
     def test_identity_kernel_is_raw_uniform(self):
-        model = FineModel(np.ones(1), 0.2, 0.03, 0.03)
+        model = FineModel(np.ones(1), 0.2, 0.03)
         out = generate_noise(model, 10_000, 5).values
         assert np.abs(out).max() <= 0.03
         assert np.abs(out).max() > 0.029  # nearly reaches the bound
 
     def test_two_tap_average_has_half_lag_one_autocorrelation(self):
-        model = FineModel(np.array([0.5, 0.5]), 0.2, 0.03, 0.03)
+        model = FineModel(np.array([0.5, 0.5]), 0.2, 0.03)
         out = generate_noise(model, 100_000, 6).values
         centered = out - out.mean()
         rho = (centered[1:] * centered[:-1]).mean() / centered.var()
         assert rho == pytest.approx(0.5, abs=0.02)
 
     def test_convolution_bound_always_holds(self, reference_taps):
-        model = FineModel(reference_taps, 0.2, 0.03, 0.03)
+        model = FineModel(reference_taps, 0.2, 0.03)
         out = generate_noise(model, 50_000, 7).values
         assert np.abs(out).max() <= model.output_bound + 1e-15
 
     def test_mean_is_stationary_near_zero(self, reference_taps):
-        model = FineModel(reference_taps, 0.2, 0.03, 0.03)
+        model = FineModel(reference_taps, 0.2, 0.03)
         out = generate_noise(model, 1_000_000, 8).values
         # var(mean) ~ (r^2/3) * (sum taps)^2 / n for the summed drive
         se = 0.03 * abs(reference_taps.sum()) / np.sqrt(3 * out.size)
         assert abs(out.mean()) <= 3 * se
 
     def test_deterministic_per_seed(self, reference_taps):
-        model = FineModel(reference_taps, 0.2, 0.03, 0.03)
+        model = FineModel(reference_taps, 0.2, 0.03)
         a = generate_noise(model, 1000, 9).values
         b = generate_noise(model, 1000, 9).values
         assert np.array_equal(a, b)
@@ -196,8 +196,8 @@ class TestGenerateNoise:
     def test_spectral_consistency_with_fitted_damping(self, params, reference_taps):
         rng = np.random.default_rng(19)
         segs = [
-            np.convolve(rng.uniform(-0.03, 0.03, 6000 + reference_taps.size - 1),
-                        reference_taps, mode="valid")
+            series(np.convolve(rng.uniform(-0.03, 0.03, 6000 + reference_taps.size - 1),
+                               reference_taps, mode="valid"))
             for _ in range(3)
         ]
         fine, fit = fit_kernel(segs, params)
@@ -205,7 +205,7 @@ class TestGenerateNoise:
         total = 0
         for k in range(20):
             out = generate_noise(fine, 8192, np.random.default_rng([55, k]))
-            freqs, mag, count = average_magnitude_spectrum([out], 256, dt=params.dt)
+            freqs, mag, count = average_magnitude_spectrum([out.values], 256, dt=params.dt)
             acc += mag * count
             total += count
         measured = acc / total
@@ -214,7 +214,7 @@ class TestGenerateNoise:
         assert rel <= 0.10
 
     def test_rejects_zero_steps(self, reference_taps):
-        model = FineModel(reference_taps, 0.2, 0.03, 0.03)
+        model = FineModel(reference_taps, 0.2, 0.03)
         with pytest.raises(ValueError):
             generate_noise(model, 0, 0)
 
@@ -222,12 +222,12 @@ class TestGenerateNoise:
 class TestFineModelValidation:
     def test_rejects_empty_taps(self):
         with pytest.raises(ValueError):
-            FineModel(np.array([]), 0.2, 0.03, 0.03)
+            FineModel(np.array([]), 0.2, 0.03)
 
     def test_rejects_nonfinite_taps(self):
         with pytest.raises(ValueError):
-            FineModel(np.array([np.inf]), 0.2, 0.03, 0.03)
+            FineModel(np.array([np.inf]), 0.2, 0.03)
 
     def test_rejects_nonpositive_halfwidth(self):
         with pytest.raises(ValueError):
-            FineModel(np.ones(1), 0.2, 0.0, 0.03)
+            FineModel(np.ones(1), 0.2, 0.0)

@@ -118,7 +118,7 @@ class TestSimulateDriveLog:
 
 
 def test_csv_loop_closes(tmp_path, reference_model):
-    from laneweave.cli import format_drive_log_csv, read_drive_log_csv
+    from laneweave.pipeline import format_drive_log_csv, read_drive_log_csv
 
     log = simulate_drive_log(reference_model, 30.0, 3.6, 3)
     path = tmp_path / "tour.csv"
