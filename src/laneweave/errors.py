@@ -2,7 +2,22 @@
 
 
 class LaneweaveError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    Errors pickle with their message and attributes, so that one raised
+    in a worker process reaches the caller unchanged.
+    """
+
+    def __reduce__(self):
+        # not type(self)(*self.args): a subclass's __init__ may take
+        # other arguments than the message it stores in args
+        return _rebuild_error, (type(self), self.args, self.__dict__)
+
+
+def _rebuild_error(cls, args, attributes):
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(attributes)
+    return error
 
 
 class ArgumentUsageError(LaneweaveError, ValueError):

@@ -99,9 +99,16 @@ def _current_umask() -> int:
 
 def atomic_write_text(path, text: str) -> None:
     """Write via a temp file in the same directory plus rename. The file
-    gets the mode a plain open() would give it: 0666 less the umask."""
+    gets the mode a plain open() would give it: 0666 less the umask.
+    A path that names a directory, or lies under a file, is refused
+    before anything is written."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ArgumentUsageError(f"cannot write {path}: {path.parent} is not a directory") from None
+    if path.is_dir():
+        raise ArgumentUsageError(f"cannot write {path}: it is a directory")
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:

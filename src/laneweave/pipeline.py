@@ -9,6 +9,7 @@ meters, velocity in km/h, rows sorted by t.
 from __future__ import annotations
 
 import math
+import os
 import time
 from itertools import repeat
 from pathlib import Path
@@ -145,19 +146,47 @@ def format_profile_csv(series: OffsetSeries) -> str:
 
 
 def ingest_segments(paths, config: RunConfig) -> list[Segment]:
-    segments: list[Segment] = []
-    for path in paths:
-        log = read_drive_log_csv(path)
-        track = resample(log, config.sample_rate)
-        segments.extend(
-            extract_segments(
-                track,
-                config,
-                jump_threshold=config.jump_threshold,
-                guard_steps=config.guard_steps,
-            )
-        )
-    return segments
+    """Segments of every tour, tour by tour in argument order.
+
+    With several tours and several CPUs in this process's affinity mask,
+    each tour is read in a forked worker process, up to one per CPU (so
+    `taskset` limits them); fork copies only the calling thread, so a
+    caller running threads of its own should pass one tour at a time.
+    An error is the one the serial loop raises: that of the first
+    failing tour in argument order.
+    """
+    paths = list(paths)
+    workers = _worker_count(len(paths))
+    if workers < 2:
+        per_tour = list(map(_ingest_tour, paths, repeat(config)))
+    else:
+        # imported here, so that the serial path, and with it every
+        # one-tour command, does not load them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # forked, not spawned: a spawned worker imports numpy and the
+        # package again, which costs more than reading a tour
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            # map yields in argument order, and once a tour raises it
+            # cancels the tours not yet started
+            per_tour = list(pool.map(_ingest_tour, paths, repeat(config)))
+    return [segment for segments in per_tour for segment in segments]
+
+
+def _worker_count(tours: int) -> int:
+    """Processes ingest_segments reads tours in: 1 (the serial loop)
+    without fork or an affinity mask to count."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(tours, len(os.sched_getaffinity(0)))
+
+
+def _ingest_tour(path, config: RunConfig) -> list[Segment]:
+    track = resample(read_drive_log_csv(path), config.sample_rate)
+    return extract_segments(
+        track, config, jump_threshold=config.jump_threshold, guard_steps=config.guard_steps
+    )
 
 
 def calibrate_from_segments(

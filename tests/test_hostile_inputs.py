@@ -197,17 +197,32 @@ MALFORMED = [
     ("snippet_duration_overflow", ["evaluate", "--model", "{root}/model.json", "--input", "{root}/tour.csv",
                                    "--snippet-duration", "1e308"], 2),
     ("lane_width_inf", ["synth", "--lane-width", "inf"], 2),
+    # an output path onto a directory, or under a file
+    ("generate_out_directory", ["generate", "--model", "{root}/model.json", "--x0", "0", "--duration", "10",
+                                "--out", "{root}/a_directory"], 2),
+    ("calibrate_out_directory", ["calibrate", "--input", "{root}/tour.csv", "--out", "{root}/a_directory"], 2),
+    ("synth_out_directory", ["synth", "--minutes", "1", "--out", "{root}/a_directory"], 2),
+    ("synth_model_out_directory", ["synth", "--minutes", "1", "--out", "{root}/out_synth_model_out_directory",
+                                   "--model-out", "{root}/a_directory"], 2),
+    ("evaluate_out_file", ["evaluate", "--model", "{root}/model.json", "--input", "{root}/tour.csv",
+                           "--out", "{root}/tour.csv"], 2),
 ]
 
 
 @pytest.mark.parametrize("name, argv, expected", MALFORMED, ids=[case[0] for case in MALFORMED])
 def test_malformed_input_is_refused(files, name, argv, expected):
-    out = files["root"] / f"out_{name}"
-    code, stderr = _run([arg.format(root=files["root"]) for arg in argv] + ["--out", str(out)])
+    root = files["root"]
+    out = root / f"out_{name}"
+    tour_bytes = (root / "tour.csv").read_bytes()
+    argv = [arg.format(root=root) for arg in argv]
+    code, stderr = _run(argv if "--out" in argv else argv + ["--out", str(out)])
     assert code == expected, stderr
     lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), stderr
-    assert not out.exists()
+    # synth writes its tour before the refused model file
+    assert not out.exists() or name == "synth_model_out_directory"
+    assert not list(root.rglob("*.tmp")) and not list((root / "a_directory").iterdir())
+    assert (root / "tour.csv").read_bytes() == tour_bytes
 
 
 class TestBoundsAreChecked:
