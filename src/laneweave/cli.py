@@ -26,7 +26,7 @@ from .errors import (
     SyntheticSpecError,
 )
 from .evaluation import EvalMode, evaluate, summarize, window_steps
-from .generator import atomic_write_text, generate_profile, load_model, save_model
+from .generator import atomic_write_text, generate_profile, load_model, read_input, save_model
 from .pipeline import (
     bench_generation,
     calibrate_from_segments,
@@ -42,6 +42,17 @@ EXIT_ARGUMENT = 2
 EXIT_SCHEMA = 3
 EXIT_CALIBRATION = 4
 EXIT_FAILURE = 1
+# exit code of each error type; an error takes that of its nearest listed base
+EXIT_CODES = {
+    ArgumentUsageError: EXIT_ARGUMENT,
+    SyntheticSpecError: EXIT_ARGUMENT,
+    SchemaError: EXIT_SCHEMA,
+    ModelFormatError: EXIT_SCHEMA,
+    CalibrationError: EXIT_CALIBRATION,
+    EmptySeriesError: EXIT_CALIBRATION,
+    EvaluationError: EXIT_CALIBRATION,
+    LaneweaveError: EXIT_FAILURE,
+}
 
 CONFIG_ENV = "LANEWEAVE_CONFIG"
 # ModelParams fields that describe the evaluated data, not the model
@@ -57,14 +68,7 @@ def resolve_config(args: argparse.Namespace, base: ModelParams | None = None) ->
     names = {f.name for f in fields(RunConfig)}
     config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     if config_path:
-        try:
-            document = json.loads(Path(config_path).read_text())
-        except FileNotFoundError:
-            raise SchemaError(f"config file not found: {config_path}") from None
-        except (OSError, UnicodeDecodeError) as exc:
-            raise SchemaError(f"cannot read config file {config_path}: {exc}") from None
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise SchemaError(f"config file is not valid JSON: {exc}") from None
+        document = read_input(config_path, "config", SchemaError, as_json=True)
         if not isinstance(document, dict):
             raise SchemaError("config file must hold a JSON object")
         for key, value in document.items():
@@ -152,12 +156,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         family=args.family,
         stay_probability=args.p,
         kernel=args.kernel,
-        tour_seconds=args.minutes * 60.0,
-        lane_width=args.lane_width,
         seed=args.seed,
     )
     model = make_model(spec)
-    log = simulate_drive_log(model, spec.tour_seconds, spec.lane_width, spec.seed)
+    log = simulate_drive_log(model, args.minutes * 60.0, args.lane_width, args.seed)
     atomic_write_text(args.out, format_drive_log_csv(log))
     print(f"wrote {len(log)} samples ({args.minutes:.1f} min at {model.params.sample_rate:g} Hz) to {args.out}")
     if args.model_out:
@@ -241,18 +243,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ArgumentUsageError, SyntheticSpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGUMENT
-    except (SchemaError, ModelFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (CalibrationError, EmptySeriesError, EvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CALIBRATION
     except LaneweaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 
 if __name__ == "__main__":

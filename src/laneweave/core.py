@@ -19,25 +19,25 @@ from .errors import ArgumentUsageError, InvalidSampleError
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
 
 _LOG_COLUMNS = ("t", "dist_left", "dist_right", "v_lon", "lane_id")
-_PARAM_FLOAT_FIELDS = (
-    "dt",
-    "smoothing_sigma",
-    "smoothing_support",
-    "cap_threshold",
-    "v_min",
-    "sample_rate",
-    "snippet_duration",
-)
 # Upper bounds checked before anything is sized from the parameters:
 # the transition matrix holds n_c**2 entries, and the Gaussian smoothing
 # kernel has 2 * round(smoothing_support / dt) + 1 taps.
 MAX_N_C = 1000
 MAX_SMOOTHING_STEPS = 500
+# Step range in which the smoothing kernel's squared offsets (up to
+# MAX_SMOOTHING_STEPS steps) and squared sigma (at least dt / 64, see
+# markov.gaussian_kernel) stay normal floats; outside it the taps are NaN.
+MIN_DT, MAX_DT = 1e-150, 1e150
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Parameter set shared by calibration, generation, and evaluation."""
+    """Parameter set shared by calibration, generation, and evaluation.
+
+    Each field takes the type of its default: an integer field refuses a
+    bool or non-integer with TypeError, a float field a bool or
+    non-finite number with ValueError.
+    """
 
     n_c: int = 20
     dt: float = 0.2
@@ -49,16 +49,17 @@ class ModelParams:
     snippet_duration: float = 10.0
 
     def __post_init__(self):
-        if isinstance(self.n_c, bool) or not isinstance(self.n_c, numbers.Integral):
-            raise TypeError(f"n_c must be an integer, got {self.n_c!r}")
-        for name in _PARAM_FLOAT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, int):
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise TypeError(f"{f.name} must be an integer, got {value!r}")
+            elif isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if not 2 <= self.n_c <= MAX_N_C:
             raise ValueError(f"n_c must lie in [2, {MAX_N_C}], got {self.n_c}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not MIN_DT <= self.dt <= MAX_DT:
+            raise ValueError(f"dt must lie in [{MIN_DT:g}, {MAX_DT:g}], got {self.dt}")
         if not 0 < self.smoothing_sigma <= self.smoothing_support:
             raise ValueError("smoothing_sigma must be positive and at most smoothing_support")
         if not 1 <= self.smoothing_support / self.dt <= MAX_SMOOTHING_STEPS:
@@ -86,15 +87,10 @@ class RunConfig(ModelParams):
     def __post_init__(self):
         super().__post_init__()
         for name, low in (("knot_count", 2), ("window_length", 2), ("guard_steps", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-        if isinstance(self.jump_threshold, bool) or not 0 < self.jump_threshold < math.inf:
-            raise ValueError(
-                f"jump_threshold must be positive and finite, got {self.jump_threshold!r}"
-            )
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.jump_threshold <= 0:
+            raise ValueError(f"jump_threshold must be positive, got {self.jump_threshold!r}")
         # the spectral fit places knot_count knots on the window's rFFT bins
         if self.knot_count > self.window_length // 2 + 1:
             raise ValueError(f"knot_count {self.knot_count} exceeds the window's frequency bins")
@@ -159,16 +155,18 @@ class DriveLog:
 
     def valid_mask(self) -> np.ndarray:
         """True where the sample yields a usable lane position."""
-        with np.errstate(invalid="ignore"):
-            ok = (
-                np.isfinite(self.t)
-                & np.isfinite(self.dist_left)
-                & np.isfinite(self.dist_right)
-                & np.isfinite(self.v_lon)
-            )
-            ok &= (self.dist_left >= 0.0) & (self.dist_right >= 0.0)
-            ok &= (self.dist_left + self.dist_right) > 0.0
-        return ok
+        return (
+            np.isfinite(self.t)
+            & np.isfinite(self.v_lon)
+            & _usable_distances(self.dist_left, self.dist_right)
+        )
+
+
+def _usable_distances(dl: np.ndarray, dr: np.ndarray) -> np.ndarray:
+    """True where both marking distances are finite and nonnegative and
+    their sum, the lane width, is positive."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.isfinite(dl) & np.isfinite(dr) & (dl >= 0.0) & (dr >= 0.0) & (dl + dr > 0.0)
 
 
 def relative_offset(dist_left, dist_right):
@@ -180,15 +178,13 @@ def relative_offset(dist_left, dist_right):
     """
     dl = np.asarray(dist_left, dtype=np.float64)
     dr = np.asarray(dist_right, dtype=np.float64)
-    width = dl + dr
-    with np.errstate(invalid="ignore"):
-        bad = ~np.isfinite(dl) | ~np.isfinite(dr) | (dl < 0) | (dr < 0) | (width <= 0)
+    bad = ~_usable_distances(dl, dr)
     if np.any(bad):
         flat = int(np.argmax(np.atleast_1d(bad)))
         raise InvalidSampleError(
             float(np.atleast_1d(dl)[flat]), float(np.atleast_1d(dr)[flat])
         )
-    out = (dl - dr) / (2.0 * width)
+    out = (dl - dr) / (2.0 * (dl + dr))
     if out.ndim == 0:
         return float(out)
     return out

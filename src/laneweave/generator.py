@@ -1,5 +1,6 @@
-"""Compose the drift and jitter models into full offset profiles and
-persist calibrated models as versioned JSON documents."""
+"""Compose the drift and jitter models into full offset profiles,
+persist calibrated models as versioned JSON documents, and read and
+write the files around them."""
 
 from __future__ import annotations
 
@@ -7,13 +8,13 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .core import ModelParams, OffsetSeries, SeedLike, seed_children
-from .errors import ArgumentUsageError, ModelFormatError
+from .errors import ArgumentUsageError, LaneweaveError, ModelFormatError
 from .markov import CoarseModel, discretize, sample_chain, smooth_values, state_centers
 from .noise import FineModel, generate_noise
 
@@ -22,15 +23,8 @@ FORMAT_VERSION = 1
 # step holds a few float64 working arrays, and its CSV row ~40 bytes.
 MAX_PROFILE_STEPS = 10_000_000
 
-_PARAM_FILE_FIELDS = (
-    "n_c",
-    "dt",
-    "smoothing_sigma",
-    "smoothing_support",
-    "cap_threshold",
-    "v_min",
-    "sample_rate",
-)
+# the snippet duration describes the evaluated data, not the model
+_PARAM_FILE_FIELDS = tuple(f.name for f in fields(ModelParams) if f.name != "snippet_duration")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +115,21 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def read_input(path, kind: str, error: type[LaneweaveError], *, as_json: bool = False):
+    """Text of an input file, or with as_json the JSON document it holds.
+    A missing, unreadable, non-UTF-8 or (with as_json) malformed file
+    raises `error` with a message naming the kind of file."""
+    try:
+        text = Path(path).read_text()
+        return json.loads(text) if as_json else text
+    except FileNotFoundError:
+        raise error(f"{kind} file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {kind} file {path}: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{kind} file is not valid JSON: {exc}") from None
+
+
 def model_to_dict(model: TwoLevelModel) -> dict:
     params = model.params
     return {
@@ -148,7 +157,7 @@ def _require_floats(doc: dict, key: str, context: str) -> np.ndarray:
     value = _require(doc, key, context)
     try:
         return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ModelFormatError(f"{context} field {key!r} must hold numbers") from None
 
 
@@ -161,7 +170,7 @@ def model_from_dict(doc: dict) -> TwoLevelModel:
         params = ModelParams(**{name: raw_params[name] for name in _PARAM_FILE_FIELDS})
     except KeyError as exc:
         raise ModelFormatError(f"params section is missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"invalid params: {exc}") from None
 
     raw_coarse = _require(doc, "coarse")
@@ -193,7 +202,7 @@ def model_from_dict(doc: dict) -> TwoLevelModel:
             dt=params.dt,
             noise_halfwidth=float(_require(raw_fine, "noise_halfwidth", "fine section")),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"invalid fine model: {exc}") from None
 
     metadata = doc.get("metadata") or {}
@@ -208,13 +217,4 @@ def save_model(model: TwoLevelModel, destination) -> None:
 
 
 def load_model(source) -> TwoLevelModel:
-    path = Path(source)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ModelFormatError(f"model file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ModelFormatError(f"model file is not valid JSON: {exc}") from None
-    return model_from_dict(doc)
+    return model_from_dict(read_input(Path(source), "model", ModelFormatError, as_json=True))

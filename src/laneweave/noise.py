@@ -5,6 +5,7 @@ and seeded noise generation."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,16 +42,23 @@ class FineModel:
             raise ValueError("kernel taps must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if not 0 < self.noise_halfwidth < math.inf:
+        # generate_noise draws from a range 2 * noise_halfwidth wide
+        if not 0 < self.noise_halfwidth <= sys.float_info.max / 2:
             raise ValueError(
-                f"noise_halfwidth must be positive and finite, got {self.noise_halfwidth!r}"
+                f"noise_halfwidth must be positive and at most half the largest float, "
+                f"got {self.noise_halfwidth!r}"
             )
         object.__setattr__(self, "kernel_taps", taps)
+        if not math.isfinite(self.output_bound):
+            raise ValueError(
+                f"noise_halfwidth {self.noise_halfwidth!r} times the taps' L1 norm is not finite"
+            )
 
     @property
     def output_bound(self) -> float:
         """Worst-case |output|: halfwidth times the taps' L1 norm."""
-        return self.noise_halfwidth * float(np.abs(self.kernel_taps).sum())
+        with np.errstate(over="ignore"):
+            return self.noise_halfwidth * float(np.abs(self.kernel_taps).sum())
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import DriveLog, OffsetSeries, RunConfig
 from .errors import ArgumentUsageError, CalibrationError, SchemaError
-from .generator import TwoLevelModel, coarse_profile, generate_profile
+from .generator import TwoLevelModel, coarse_profile, generate_profile, read_input
 from .markov import CoarseModel, count_transitions, discretize, transitions_from_counts
 from .noise import cap, extract_fine, fit_kernel, generate_noise
 from .preprocessing import Segment, extract_segments, resample
@@ -39,12 +39,7 @@ def read_drive_log_csv(path) -> DriveLog:
     checked again one by one to report the first error in file order.
     """
     path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except FileNotFoundError:
-        raise SchemaError(f"input file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"cannot read input file {path}: {exc}") from None
+    lines = read_input(path, "input", SchemaError).splitlines()
     if not lines:
         raise SchemaError(f"{path}: empty file, expected a header row")
     header = tuple(cell.strip() for cell in lines[0].split(","))

@@ -55,7 +55,7 @@ def resample(log: DriveLog, target_rate: float) -> ResampledTrack:
     valid_src = log.valid_mask()
     n_valid = int(valid_src.sum())
     if n_valid < 2:
-        raise EmptySeriesError(f"need at least 2 valid samples, got {n_valid}")
+        raise EmptySeriesError(f"tour {log.tour_id!r}: need at least 2 valid samples, got {n_valid}")
 
     t = log.t
     span = (t[-1] - t[0]) * target_rate

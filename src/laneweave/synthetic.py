@@ -27,15 +27,13 @@ REFERENCE_DAMPING = (1.0, 1.0, 0.8, 0.5, 0.3, 0.2)
 class SyntheticSpec:
     """Recipe for a ground-truth model and its simulated tours."""
 
-    n_c: int = 20
-    dt: float = 0.2
+    n_c: int = ModelParams.n_c
+    dt: float = ModelParams.dt
     family: str = "banded"
     stay_probability: float = 0.9
     transition: np.ndarray | None = None
     kernel: str = "reference"
     kernel_taps: np.ndarray | None = None
-    tour_seconds: float = 3000.0
-    lane_width: float = 3.6
     seed: int = 0
 
 

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laneweave import evaluation
+from laneweave import errors, evaluation
 from laneweave.cli import (
     EXIT_ARGUMENT,
     EXIT_CALIBRATION,
+    EXIT_FAILURE,
     EXIT_OK,
     EXIT_SCHEMA,
     main,
@@ -542,3 +543,35 @@ class TestConfigResolution:
         assert params.n_c == 20
         assert params.cap_threshold == 0.03
         assert params.v_min == 40.0
+
+
+# the documented exit code of every package error
+EXIT_BY_ERROR = {
+    errors.ArgumentUsageError: EXIT_ARGUMENT,
+    errors.SyntheticSpecError: EXIT_ARGUMENT,
+    errors.SchemaError: EXIT_SCHEMA,
+    errors.ModelFormatError: EXIT_SCHEMA,
+    errors.CalibrationError: EXIT_CALIBRATION,
+    errors.EmptySeriesError: EXIT_CALIBRATION,
+    errors.EvaluationError: EXIT_CALIBRATION,
+    errors.InvalidSampleError: EXIT_FAILURE,
+    errors.MetricError: EXIT_FAILURE,
+    errors.LaneweaveError: EXIT_FAILURE,
+}
+
+
+@pytest.mark.parametrize("cls, expected", EXIT_BY_ERROR.items(), ids=lambda v: getattr(v, "__name__", v))
+def test_each_error_exits_with_its_code(capsys, cls, expected):
+    error = cls(1.0, -1.0) if cls is errors.InvalidSampleError else cls("it failed")
+    with mock.patch("laneweave.cli.load_model", side_effect=error):
+        code = main(["generate", "--model", "m.json", "--x0", "0", "--duration", "1", "--out", "p.csv"])
+    assert code == expected
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def _with_subclasses(cls):
+    return {cls}.union(*map(_with_subclasses, cls.__subclasses__()))
+
+
+def test_every_error_type_has_a_documented_code():
+    assert _with_subclasses(errors.LaneweaveError) == set(EXIT_BY_ERROR)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from laneweave.core import (
     DriveLog,
     ModelParams,
     OffsetSeries,
+    RunConfig,
     relative_offset,
 )
 from laneweave.errors import InvalidSampleError
@@ -103,6 +105,22 @@ class TestModelParams:
 
     def test_consistent_rate_accepted(self):
         ModelParams(dt=0.1, sample_rate=10.0)
+
+
+# each RunConfig field with the wrong values for the type of its default
+WRONG_TYPED = [
+    (f.name, value, TypeError if isinstance(f.default, int) else ValueError)
+    for f in fields(RunConfig)
+    for value in ([True, 2.0, "2"] if isinstance(f.default, int) else [math.nan, math.inf, True])
+]
+
+
+@pytest.mark.parametrize(
+    "name, value, error", WRONG_TYPED, ids=[f"{name}={value!r}" for name, value, _ in WRONG_TYPED]
+)
+def test_every_field_is_checked_by_its_type(name, value, error):
+    with pytest.raises(error, match=name):
+        RunConfig(**{name: value})
 
 
 class TestOffsetSeries:

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 import laneweave
 from laneweave.cli import EXIT_ARGUMENT, EXIT_CALIBRATION, EXIT_OK, EXIT_SCHEMA, main
-from laneweave.core import MAX_N_C, MAX_SMOOTHING_STEPS, ModelParams, RunConfig
+from laneweave.core import MAX_DT, MAX_N_C, MAX_SMOOTHING_STEPS, MIN_DT, ModelParams, RunConfig
+from laneweave.errors import ModelFormatError
+from laneweave.generator import generate_profile, load_model
 from laneweave.noise import MAX_KERNEL_TAPS, FineModel
 
 # address-space cap of the subprocess that runs the oversized requests:
@@ -64,9 +67,9 @@ def files(tmp_path_factory):
     assert _run(["calibrate", "--input", str(tour), "--out", str(model)])[0] == EXIT_OK
     good = json.loads(model.read_text())
 
-    def model_variant(name, section, key, value):
+    def model_variant(name, section, **changes):
         doc = json.loads(json.dumps(good))
-        doc[section][key] = value
+        doc[section].update(changes)
         path = root / f"model_{name}.json"
         path.write_text(json.dumps(doc))
         return path
@@ -96,13 +99,21 @@ def files(tmp_path_factory):
         ],
         "models": [
             model,
-            model_variant("n_c", "params", "n_c", 100_000_000),
-            model_variant("support", "params", "smoothing_support", 1e15),
-            model_variant("sigma", "params", "smoothing_sigma", 0.0),
-            model_variant("taps", "fine", "kernel_taps", [0.0] * (MAX_KERNEL_TAPS + 1)),
-            model_variant("no_taps", "fine", "kernel_taps", []),
-            model_variant("halfwidth", "fine", "noise_halfwidth", "wide"),
-            model_variant("transition", "coarse", "transition", [[1.0]]),
+            model_variant("n_c", "params", n_c=100_000_000),
+            model_variant("support", "params", smoothing_support=1e15),
+            model_variant("sigma", "params", smoothing_sigma=0.0),
+            model_variant("taps", "fine", kernel_taps=[0.0] * (MAX_KERNEL_TAPS + 1)),
+            model_variant("no_taps", "fine", kernel_taps=[]),
+            model_variant("halfwidth", "fine", noise_halfwidth="wide"),
+            model_variant("transition", "coarse", transition=[[1.0]]),
+            # the output bound, and twice the halfwidth, overflow
+            model_variant("output_bound", "fine", noise_halfwidth=1e300, kernel_taps=[1e10] * 3),
+            model_variant("noise_range", "fine", noise_halfwidth=1e308, kernel_taps=[1.0]),
+            # consistent steps too short or too long for the smoothing kernel
+            model_variant("tiny_dt", "params", dt=1e-200, sample_rate=1e200,
+                          smoothing_sigma=1e-200, smoothing_support=1e-200),
+            model_variant("huge_dt", "params", dt=1e200, sample_rate=1e-200,
+                          smoothing_sigma=1e200, smoothing_support=1e200),
             text_file("model_truncated.json", model.read_text()[:200]),
             text_file("model_deep.json", "[" * 100_000),
             text_file("model_list.json", "[]"),
@@ -190,6 +201,12 @@ MALFORMED = [
     ("model_deeply_nested", ["generate", "--model", "{root}/model_deep.json", "--x0", "0", "--duration", "10"], 3),
     ("model_directory", ["generate", "--model", "{root}/a_directory", "--x0", "0", "--duration", "10"], 3),
     ("model_zero_sigma", ["generate", "--model", "{root}/model_sigma.json", "--x0", "0", "--duration", "10"], 3),
+    ("model_output_bound_overflow", ["generate", "--model", "{root}/model_output_bound.json", "--x0", "0",
+                                     "--duration", "10"], 3),
+    ("model_noise_range_overflow", ["generate", "--model", "{root}/model_noise_range.json", "--x0", "0",
+                                    "--duration", "10"], 3),
+    ("model_tiny_dt", ["generate", "--model", "{root}/model_tiny_dt.json", "--x0", "0", "--duration", "2e-199"], 3),
+    ("model_huge_dt", ["generate", "--model", "{root}/model_huge_dt.json", "--x0", "0", "--duration", "2e201"], 3),
     ("config_deeply_nested", ["calibrate", "--input", "{root}/tour.csv", "--config", "{root}/config_deep.json"], 3),
     ("config_not_utf8", ["calibrate", "--input", "{root}/tour.csv", "--config", "{root}/config_binary.json"], 3),
     ("config_zero_sigma", ["calibrate", "--input", "{root}/tour.csv", "--smoothing-sigma", "0"], 2),
@@ -241,6 +258,13 @@ class TestBoundsAreChecked:
             ModelParams(smoothing_support=(MAX_SMOOTHING_STEPS + 1) * dt)
         with pytest.raises(ValueError, match="smoothing_support"):
             ModelParams(smoothing_sigma=0.1, smoothing_support=0.1)
+
+    def test_dt(self):
+        for dt in (MIN_DT, MAX_DT):
+            assert ModelParams(dt=dt, sample_rate=1 / dt, smoothing_sigma=dt, smoothing_support=dt).dt == dt
+        for dt in (MIN_DT / 2, MAX_DT * 2):
+            with pytest.raises(ValueError, match="dt"):
+                ModelParams(dt=dt, sample_rate=1 / dt, smoothing_sigma=dt, smoothing_support=dt)
 
     def test_kernel_taps(self):
         assert FineModel(np.zeros(MAX_KERNEL_TAPS), 0.2, 0.03).kernel_taps.size == MAX_KERNEL_TAPS
@@ -318,3 +342,66 @@ def test_main_maps_every_bad_input_to_its_exit_code(files, data):
     code, stderr = _run(argv)
     assert code in (EXIT_OK, EXIT_ARGUMENT, EXIT_SCHEMA, EXIT_CALIBRATION), stderr
     assert "Traceback" not in stderr
+
+
+# json.loads reads NaN, Infinity and integers of any size; the edge
+# values (past float range, subnormal, near its top) are drawn often
+JSON_NUMBERS = st.floats() | st.integers() | st.sampled_from([10**400, -(10**400), 5e-324, 1e-200, 1e300, 1e308])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_NUMBERS | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+# a drawn replacement is mostly a number or a list of them, the values
+# a model file holds
+REPLACEMENTS = st.one_of(JSON_NUMBERS, st.lists(JSON_NUMBERS, max_size=4), JSON_VALUES)
+# where a drawn value goes: each section, each leaf of the three model
+# sections, and (None) one element of a list
+MODEL_PATHS = [
+    *[(section,) for section in ("version", "params", "coarse", "fine", "metadata")],
+    *[("params", f.name) for f in fields(ModelParams) if f.name != "snippet_duration"],
+    ("coarse", "transition"),
+    ("coarse", "transition", None),
+    ("coarse", "state_centers"),
+    ("coarse", "state_centers", None),
+    ("fine", "kernel_taps"),
+    ("fine", "kernel_taps", None),
+    ("fine", "noise_halfwidth"),
+]
+
+
+@st.composite
+def mutated_models(draw, good):
+    """A valid model document with 1-3 of its sections or leaves (list
+    elements included) replaced by drawn JSON values."""
+    doc = json.loads(json.dumps(good))
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, key = draw(st.sampled_from(MODEL_PATHS))
+        node = doc
+        for step in parents:
+            node = node.get(step) if isinstance(node, dict) else None
+        if key is None and isinstance(node, list) and node:
+            key = draw(st.integers(0, len(node) - 1))
+        if isinstance(node, dict) or (isinstance(node, list) and isinstance(key, int)):
+            node[key] = draw(REPLACEMENTS)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def model_file(files):
+    return files["model"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_model_file_loads_to_bounded_output_or_is_refused(model_file, data):
+    path = model_file.with_name("model_drawn.json")
+    path.write_text(json.dumps(data.draw(mutated_models(json.loads(model_file.read_text())))))
+    try:
+        model = load_model(path)
+    except ModelFormatError:
+        return
+    values = generate_profile(model, 0.0, 20 * model.params.dt, 0).values
+    assert np.all(np.isfinite(values))
+    # the bound holds up to the rounding of the sums behind it
+    assert np.abs(values).max() <= (0.5 + model.fine.output_bound) * (1 + 1e-12)

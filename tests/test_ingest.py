@@ -149,6 +149,15 @@ def test_first_failing_tour_sets_the_error(tours, names, expected):
     assert pooled == serial
 
 
+def test_too_short_tour_is_named(tours):
+    argv = ["calibrate", "--input", tours["good1"], tours["one_row"], "--out", tours["root"] / "model.json"]
+    for forced in (serial_forced, pool_forced):
+        with forced():
+            code, stderr = _run(argv)
+        assert code == EXIT_CALIBRATION
+        assert stderr == "error: tour 'one_row': need at least 2 valid samples, got 1\n"
+
+
 _LEAN_RUNNER = """
 import contextlib, io, json, sys
 from laneweave.cli import main

@@ -93,6 +93,11 @@ class TestGaussianKernel:
         taps = gaussian_kernel(0.45, 1.4, 0.2)
         assert np.allclose(taps, taps[::-1], atol=0)
 
+    @pytest.mark.parametrize("sigma", [1e-3, 1e-156, 1e-200, 5e-324])
+    def test_narrow_sigma_leaves_the_centre_tap(self, sigma):
+        taps = gaussian_kernel(sigma, 1.0, 0.2)
+        assert taps.tolist() == [0.0] * 5 + [1.0] + [0.0] * 5
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             gaussian_kernel(0.0, 1.0, 0.2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from laneweave.core import relative_offset
+from laneweave.core import ModelParams, relative_offset
 from laneweave.errors import SyntheticSpecError
 from laneweave.generator import generate_profile
 from laneweave.synthetic import (
@@ -10,6 +10,12 @@ from laneweave.synthetic import (
     make_model,
     simulate_drive_log,
 )
+
+
+def test_spec_defaults_are_the_model_defaults():
+    spec = SyntheticSpec()
+    assert (spec.n_c, spec.dt) == (ModelParams.n_c, ModelParams.dt)
+    assert make_model(spec).params == ModelParams()
 
 
 class TestTransitionFamilies:
