@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import Union
 
@@ -24,10 +25,14 @@ _LOG_COLUMNS = ("t", "dist_left", "dist_right", "v_lon", "lane_id")
 # kernel has 2 * round(smoothing_support / dt) + 1 taps.
 MAX_N_C = 1000
 MAX_SMOOTHING_STEPS = 500
-# Step range in which the smoothing kernel's squared offsets (up to
-# MAX_SMOOTHING_STEPS steps) and squared sigma (at least dt / 64, see
-# markov.gaussian_kernel) stay normal floats; outside it the taps are NaN.
+# Step range in which markov.gaussian_kernel's squared sigma (floored at
+# SIGMA_FLOOR_STEPS steps of dt) and squared offsets (up to
+# MAX_SMOOTHING_STEPS steps) stay normal floats; outside it taps are NaN.
+SIGMA_FLOOR_STEPS = 1 / 64
 MIN_DT, MAX_DT = 1e-150, 1e150
+# Largest cap_threshold, which calibration makes the fine model's noise
+# halfwidth: noise.generate_noise draws from a range twice as wide.
+MAX_NOISE_HALFWIDTH = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -67,8 +72,10 @@ class ModelParams:
                 f"smoothing_support must cover 1 to {MAX_SMOOTHING_STEPS} steps of dt, "
                 f"got {self.smoothing_support / self.dt:g}"
             )
-        if self.cap_threshold <= 0:
-            raise ValueError("cap_threshold must be positive")
+        if not 0 < self.cap_threshold <= MAX_NOISE_HALFWIDTH:
+            raise ValueError(
+                f"cap_threshold must lie in (0, {MAX_NOISE_HALFWIDTH:g}], got {self.cap_threshold!r}"
+            )
         if abs(self.sample_rate * self.dt - 1.0) > 1e-9:
             raise ValueError(
                 f"sample_rate ({self.sample_rate} Hz) and dt ({self.dt} s) disagree"

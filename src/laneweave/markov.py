@@ -11,7 +11,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SeedLike, as_generator
+from .core import SIGMA_FLOOR_STEPS, SeedLike, as_generator
 from .errors import CalibrationError
 
 ROW_SUM_TOL = 1e-9
@@ -43,10 +43,10 @@ def gaussian_kernel(sigma: float, support: float, dt: float) -> np.ndarray:
     if support < dt:
         raise ValueError("support must cover at least one step")
     m = int(round(support / dt))
-    # below dt / 64 every tap but the centre one is at most exp(-2048),
-    # which is 0.0 in float64 anyway; the floor keeps sigma**2 from
-    # underflowing to 0, which would make the centre tap 0 / 0
-    sigma = max(sigma, dt / 64)
+    # below dt / 64 (SIGMA_FLOOR_STEPS) every tap but the centre one is at
+    # most exp(-2048), which is 0.0 in float64 anyway; the floor keeps
+    # sigma**2 from underflowing to 0, which would make the centre tap 0 / 0
+    sigma = max(sigma, dt * SIGMA_FLOOR_STEPS)
     offsets = np.arange(-m, m + 1) * dt
     taps = np.exp(-(offsets**2) / (2.0 * sigma**2))
     return taps / taps.sum()

@@ -5,13 +5,12 @@ and seeded noise generation."""
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import ModelParams, OffsetSeries, RunConfig, SeedLike, as_generator
+from .core import MAX_NOISE_HALFWIDTH, ModelParams, OffsetSeries, RunConfig, SeedLike, as_generator
 from .errors import CalibrationError
 from .markov import discretize, gaussian_kernel, smooth_values, state_centers
 
@@ -42,11 +41,9 @@ class FineModel:
             raise ValueError("kernel taps must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        # generate_noise draws from a range 2 * noise_halfwidth wide
-        if not 0 < self.noise_halfwidth <= sys.float_info.max / 2:
+        if not 0 < self.noise_halfwidth <= MAX_NOISE_HALFWIDTH:
             raise ValueError(
-                f"noise_halfwidth must be positive and at most half the largest float, "
-                f"got {self.noise_halfwidth!r}"
+                f"noise_halfwidth must lie in (0, {MAX_NOISE_HALFWIDTH:g}], got {self.noise_halfwidth!r}"
             )
         object.__setattr__(self, "kernel_taps", taps)
         if not math.isfinite(self.output_bound):

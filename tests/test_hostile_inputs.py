@@ -18,9 +18,19 @@ from hypothesis import given, settings, strategies as st
 
 import laneweave
 from laneweave.cli import EXIT_ARGUMENT, EXIT_CALIBRATION, EXIT_OK, EXIT_SCHEMA, main
-from laneweave.core import MAX_DT, MAX_N_C, MAX_SMOOTHING_STEPS, MIN_DT, ModelParams, RunConfig
+from laneweave.core import (
+    MAX_DT,
+    MAX_N_C,
+    MAX_NOISE_HALFWIDTH,
+    MAX_SMOOTHING_STEPS,
+    MIN_DT,
+    SIGMA_FLOOR_STEPS,
+    ModelParams,
+    RunConfig,
+)
 from laneweave.errors import ModelFormatError
 from laneweave.generator import generate_profile, load_model
+from laneweave.markov import gaussian_kernel
 from laneweave.noise import MAX_KERNEL_TAPS, FineModel
 
 # address-space cap of the subprocess that runs the oversized requests:
@@ -109,6 +119,7 @@ def files(tmp_path_factory):
             # the output bound, and twice the halfwidth, overflow
             model_variant("output_bound", "fine", noise_halfwidth=1e300, kernel_taps=[1e10] * 3),
             model_variant("noise_range", "fine", noise_halfwidth=1e308, kernel_taps=[1.0]),
+            model_variant("cap_threshold", "params", cap_threshold=1e308),
             # consistent steps too short or too long for the smoothing kernel
             model_variant("tiny_dt", "params", dt=1e-200, sample_rate=1e200,
                           smoothing_sigma=1e-200, smoothing_support=1e-200),
@@ -207,6 +218,9 @@ MALFORMED = [
                                     "--duration", "10"], 3),
     ("model_tiny_dt", ["generate", "--model", "{root}/model_tiny_dt.json", "--x0", "0", "--duration", "2e-199"], 3),
     ("model_huge_dt", ["generate", "--model", "{root}/model_huge_dt.json", "--x0", "0", "--duration", "2e201"], 3),
+    ("model_cap_threshold_huge", ["generate", "--model", "{root}/model_cap_threshold.json", "--x0", "0",
+                                  "--duration", "10"], 3),
+    ("calibrate_cap_threshold_huge", ["calibrate", "--input", "{root}/tour.csv", "--cap-threshold", "1e308"], 2),
     ("config_deeply_nested", ["calibrate", "--input", "{root}/tour.csv", "--config", "{root}/config_deep.json"], 3),
     ("config_not_utf8", ["calibrate", "--input", "{root}/tour.csv", "--config", "{root}/config_binary.json"], 3),
     ("config_zero_sigma", ["calibrate", "--input", "{root}/tour.csv", "--smoothing-sigma", "0"], 2),
@@ -265,6 +279,24 @@ class TestBoundsAreChecked:
         for dt in (MIN_DT / 2, MAX_DT * 2):
             with pytest.raises(ValueError, match="dt"):
                 ModelParams(dt=dt, sample_rate=1 / dt, smoothing_sigma=dt, smoothing_support=dt)
+
+    def test_dt_range_keeps_the_smoothing_kernel_normal(self):
+        # the smallest floored sigma squares to a normal float, and the
+        # widest kernel's largest offset squares to a finite one
+        assert (MIN_DT * SIGMA_FLOOR_STEPS) ** 2 >= sys.float_info.min
+        assert (MAX_SMOOTHING_STEPS * MAX_DT) ** 2 < sys.float_info.max
+        for dt in (MIN_DT, MAX_DT):
+            taps = gaussian_kernel(dt * SIGMA_FLOOR_STEPS, MAX_SMOOTHING_STEPS * dt, dt)
+            assert np.all(np.isfinite(taps)) and taps[MAX_SMOOTHING_STEPS] == 1.0
+
+    def test_noise_halfwidth(self):
+        assert ModelParams(cap_threshold=MAX_NOISE_HALFWIDTH).cap_threshold == MAX_NOISE_HALFWIDTH
+        assert FineModel(np.zeros(1), 0.2, MAX_NOISE_HALFWIDTH).noise_halfwidth == MAX_NOISE_HALFWIDTH
+        too_wide = np.nextafter(MAX_NOISE_HALFWIDTH, np.inf)
+        with pytest.raises(ValueError, match="cap_threshold"):
+            ModelParams(cap_threshold=too_wide)
+        with pytest.raises(ValueError, match="noise_halfwidth"):
+            FineModel(np.zeros(1), 0.2, too_wide)
 
     def test_kernel_taps(self):
         assert FineModel(np.zeros(MAX_KERNEL_TAPS), 0.2, 0.03).kernel_taps.size == MAX_KERNEL_TAPS
