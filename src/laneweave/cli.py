@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
@@ -54,9 +53,10 @@ EXIT_CODES = {
     LaneweaveError: EXIT_FAILURE,
 }
 
-CONFIG_ENV = "LANEWEAVE_CONFIG"
-# ModelParams fields that describe the evaluated data, not the model
-DATA_FIELDS = ("v_min", "snippet_duration")
+# The RunConfig fields each command reads, one flag each (a config file may
+# hold any key); evaluate takes every other ModelParams field from the model.
+EVALUATE_SETTINGS = ("v_min", "snippet_duration", "jump_threshold", "guard_steps")
+CALIBRATE_SETTINGS = tuple(f.name for f in fields(RunConfig) if f.name != "snippet_duration")
 
 
 def resolve_config(args: argparse.Namespace, base: ModelParams | None = None) -> RunConfig:
@@ -66,7 +66,7 @@ def resolve_config(args: argparse.Namespace, base: ModelParams | None = None) ->
     if base is not None:
         settings.update(asdict(base))
     names = {f.name for f in fields(RunConfig)}
-    config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
+    config_path = getattr(args, "config", None)
     if config_path:
         document = read_input(config_path, "config", SchemaError, as_json=True)
         if not isinstance(document, dict):
@@ -125,7 +125,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     mismatched = [
         f.name
         for f in fields(ModelParams)
-        if f.name not in DATA_FIELDS and getattr(config, f.name) != getattr(model.params, f.name)
+        if f.name not in EVALUATE_SETTINGS and getattr(config, f.name) != getattr(model.params, f.name)
     ]
     if mismatched:
         raise ArgumentUsageError(
@@ -189,15 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help=f"JSON config file (or set {CONFIG_ENV})")
-        for f in fields(RunConfig):
-            p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=type(f.default))
+    def add_config_options(p: argparse.ArgumentParser, settings: tuple[str, ...]) -> None:
+        p.add_argument("--config", help="JSON config file of RunConfig keys")
+        for name in settings:
+            p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=type(getattr(RunConfig, name)))
 
     p = sub.add_parser("calibrate", help="fit a model from tour CSVs")
     p.add_argument("--input", nargs="+", required=True, metavar="CSV")
     p.add_argument("--out", required=True, help="model JSON destination")
-    add_config_options(p)
+    add_config_options(p, CALIBRATE_SETTINGS)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("generate", help="write an artificial offset profile CSV")
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", default="shift,coarse,fine,full")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
-    add_config_options(p)
+    add_config_options(p, EVALUATE_SETTINGS)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="simulate a tour CSV from a ground-truth model")

@@ -170,10 +170,11 @@ class DriveLog:
 
 
 def _usable_distances(dl: np.ndarray, dr: np.ndarray) -> np.ndarray:
-    """True where both marking distances are finite and nonnegative and
-    their sum, the lane width, is positive."""
+    """True where both marking distances are nonnegative and their sum,
+    the lane width, is positive and finite (so both are finite too)."""
     with np.errstate(invalid="ignore", over="ignore"):
-        return np.isfinite(dl) & np.isfinite(dr) & (dl >= 0.0) & (dr >= 0.0) & (dl + dr > 0.0)
+        width = dl + dr
+        return (dl >= 0.0) & (dr >= 0.0) & (width > 0.0) & np.isfinite(width)
 
 
 def relative_offset(dist_left, dist_right):
@@ -181,7 +182,8 @@ def relative_offset(dist_left, dist_right):
 
     The mapping is (dist_left - dist_right) / (2 * (dist_left + dist_right)):
     antisymmetric under swapping the arguments, invariant under scaling
-    both, and always within [-0.5, 0.5] for nonnegative inputs.
+    both, and always within [-0.5, 0.5] for nonnegative inputs. Halving
+    the quotient, not doubling a width that may overflow, gives the same bits.
     """
     dl = np.asarray(dist_left, dtype=np.float64)
     dr = np.asarray(dist_right, dtype=np.float64)
@@ -191,7 +193,7 @@ def relative_offset(dist_left, dist_right):
         raise InvalidSampleError(
             float(np.atleast_1d(dl)[flat]), float(np.atleast_1d(dr)[flat])
         )
-    out = (dl - dr) / (2.0 * (dl + dr))
+    out = (dl - dr) / (dl + dr) * 0.5
     if out.ndim == 0:
         return float(out)
     return out

@@ -259,7 +259,7 @@ def evaluate(
             art = np.array(coarse) + capped
         elif mode is EvalMode.FINE_ONLY:
             noise = [
-                generate_noise(model.fine, w, np.random.default_rng(child)).values
+                generate_noise(model.fine, w, np.random.default_rng(child))
                 for child in children
             ]
             art = drift + np.array(noise)

@@ -41,8 +41,6 @@ class TwoLevelModel:
             raise ValueError("coarse model and params disagree on n_c")
         if abs(self.coarse.dt - self.params.dt) > 1e-12:
             raise ValueError("coarse model and params disagree on dt")
-        if abs(self.fine.dt - self.params.dt) > 1e-12:
-            raise ValueError("fine model and params disagree on dt")
 
 
 def derive_streams(seed: SeedLike) -> tuple[np.random.Generator, np.random.Generator]:
@@ -81,7 +79,7 @@ def generate_profile(
     n_steps = round(steps)
     rng_coarse, rng_fine = derive_streams(seed)
     drift = coarse_profile(model, discretize(initial_offset, params.n_c), n_steps, rng_coarse)
-    jitter = generate_noise(model.fine, n_steps, rng_fine).values
+    jitter = generate_noise(model.fine, n_steps, rng_fine)
     return OffsetSeries(params.dt, drift + jitter)
 
 
@@ -153,12 +151,19 @@ def _require(doc: dict, key: str, context: str = "model file"):
     return doc[key]
 
 
+def _is_number(value) -> bool:
+    """A JSON number; json.loads reads true and false as bools, which are ints."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require_floats(doc: dict, key: str, context: str) -> np.ndarray:
     value = _require(doc, key, context)
+    if not (isinstance(value, list) and all(map(_is_number, value))):
+        raise ModelFormatError(f"{context} field {key!r} must be a list of numbers")
     try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise ModelFormatError(f"{context} field {key!r} must hold numbers") from None
+        return np.array(value, dtype=np.float64)
+    except OverflowError:
+        raise ModelFormatError(f"{context} field {key!r} holds a number past float range") from None
 
 
 def model_from_dict(doc: dict) -> TwoLevelModel:
@@ -196,13 +201,13 @@ def model_from_dict(doc: dict) -> TwoLevelModel:
         raise ModelFormatError("coarse.state_centers do not match the n_c bin grid")
 
     raw_fine = _require(doc, "fine")
+    taps = _require_floats(raw_fine, "kernel_taps", "fine section")
+    halfwidth = _require(raw_fine, "noise_halfwidth", "fine section")
+    if not _is_number(halfwidth):
+        raise ModelFormatError("fine section field 'noise_halfwidth' must be a number")
     try:
-        fine = FineModel(
-            kernel_taps=_require_floats(raw_fine, "kernel_taps", "fine section"),
-            dt=params.dt,
-            noise_halfwidth=float(_require(raw_fine, "noise_halfwidth", "fine section")),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
+        fine = FineModel(kernel_taps=taps, noise_halfwidth=float(halfwidth))
+    except (ValueError, OverflowError) as exc:
         raise ModelFormatError(f"invalid fine model: {exc}") from None
 
     metadata = doc.get("metadata") or {}

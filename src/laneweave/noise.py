@@ -28,7 +28,6 @@ class FineModel:
     """Fitted jitter model: shaping taps plus the uniform driving noise."""
 
     kernel_taps: np.ndarray
-    dt: float
     noise_halfwidth: float
 
     def __post_init__(self):
@@ -39,8 +38,6 @@ class FineModel:
             raise ValueError(f"{taps.size} kernel taps exceed the limit of {MAX_KERNEL_TAPS}")
         if not np.all(np.isfinite(taps)):
             raise ValueError("kernel taps must be finite")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
         if not 0 < self.noise_halfwidth <= MAX_NOISE_HALFWIDTH:
             raise ValueError(
                 f"noise_halfwidth must lie in (0, {MAX_NOISE_HALFWIDTH:g}], got {self.noise_halfwidth!r}"
@@ -213,11 +210,7 @@ def fit_kernel(
     scale = np.linalg.norm(ratio)
     residual = float(np.linalg.norm(basis @ knot_values - ratio) / scale) if scale > 0 else 0.0
     taps = kernel_from_damping(knot_freqs, knot_values, params.dt)
-    fine = FineModel(
-        kernel_taps=taps,
-        dt=params.dt,
-        noise_halfwidth=params.cap_threshold,
-    )
+    fine = FineModel(kernel_taps=taps, noise_halfwidth=params.cap_threshold)
     fit = SpectrumFit(
         frequencies=freqs,
         measured_magnitude=measured,
@@ -230,15 +223,15 @@ def fit_kernel(
     return fine, fit
 
 
-def generate_noise(model: FineModel, n_steps: int, rng: SeedLike) -> OffsetSeries:
+def generate_noise(model: FineModel, n_steps: int, rng: SeedLike) -> np.ndarray:
     """Shaped noise: uniform draws on [-r, +r] convolved with the taps.
 
     A kernel-length warm-up prefix is drawn so the output is stationary
-    from step 0; the same seed always yields the same series.
+    from step 0; the same seed always yields the same values.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     gen = as_generator(rng)
     taps = model.kernel_taps
     drive = gen.uniform(-model.noise_halfwidth, model.noise_halfwidth, n_steps + taps.size - 1)
-    return OffsetSeries(model.dt, np.convolve(drive, taps, mode="valid"))
+    return np.convolve(drive, taps, mode="valid")

@@ -110,7 +110,7 @@ def extract_segments(
     consecutive steps or as a lane-id switch; guard_steps samples on each
     side of such a cut are dropped as well, since the approach and
     departure phases contaminate in-lane behavior. Values inside the
-    returned segments are taken from the track unaltered.
+    returned segments are taken from the track unaltered, at step params.dt.
     """
     if abs(track.dt * params.sample_rate - 1.0) > 1e-9:
         raise ValueError("track rate does not match params.sample_rate")
@@ -129,7 +129,7 @@ def extract_segments(
             segments.append(
                 Segment(
                     start_t=track.start_t + start * track.dt,
-                    series=OffsetSeries(track.dt, track.offsets[start:stop].copy()),
+                    series=OffsetSeries(params.dt, track.offsets[start:stop].copy()),
                     source_tour=track.source_tour,
                 )
             )

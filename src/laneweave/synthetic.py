@@ -103,11 +103,7 @@ def make_model(spec: SyntheticSpec) -> TwoLevelModel:
             smoothing_sigma=params.smoothing_sigma,
             smoothing_support=params.smoothing_support,
         )
-        fine = FineModel(
-            kernel_taps=taps,
-            dt=spec.dt,
-            noise_halfwidth=params.cap_threshold,
-        )
+        fine = FineModel(kernel_taps=taps, noise_halfwidth=params.cap_threshold)
     except ValueError as exc:
         raise SyntheticSpecError(str(exc)) from None
 

@@ -165,7 +165,7 @@ def test_criterion_07_spectral_consistency(calibrated):
     freqs = None
     for k in range(100):
         out = generate_noise(fine, 16384, np.random.default_rng([707, k]))
-        freqs, mag, count = average_magnitude_spectrum([out.values], 256, dt=params.dt)
+        freqs, mag, count = average_magnitude_spectrum([out], 256, dt=params.dt)
         acc += mag * count
         total += count
     measured = acc / total

@@ -9,11 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from laneweave import errors, evaluation
 from laneweave.cli import (
+    CALIBRATE_SETTINGS,
+    EVALUATE_SETTINGS,
     EXIT_ARGUMENT,
     EXIT_CALIBRATION,
     EXIT_FAILURE,
     EXIT_OK,
     EXIT_SCHEMA,
+    build_parser,
     main,
     resolve_config,
 )
@@ -105,6 +108,19 @@ class TestCalibrate:
         code = main(["calibrate", "--input", str(tour_csv), "--out", str(tmp_path / "m.json")])
         assert code == EXIT_OK
         assert "repaired rows: 4 [0, 1, 2, 3]" in capsys.readouterr().out
+
+    def test_huge_marking_distances_end_without_a_warning(self, capsys, tmp_path, tour_csv):
+        # one row's width is finite, another's overflows; pyproject makes
+        # any RuntimeWarning an error, so an overflow would end this test
+        lines = tour_csv.read_text().splitlines()
+        for k, right in ((100, "1.0"), (200, "1.7e308")):
+            t = lines[k].split(",")[0]
+            lines[k] = f"{t},1.7e308,{right},120.0,"
+        tour = tmp_path / "huge.csv"
+        tour.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["calibrate", "--input", str(tour), "--out", str(tmp_path / "m.json")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_header_only_csv_is_insufficient_data(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -380,10 +396,48 @@ class TestEvaluate:
         self, capsys, tmp_path, model_file, tour_csv, flags
     ):
         out_dir = tmp_path / "r"
-        args = ["evaluate", "--model", str(model_file), "--input", str(tour_csv)]
-        assert main(args + flags + ["--out", str(out_dir)]) == EXIT_ARGUMENT
+        args = ["evaluate", "--model", str(model_file), "--input", str(tour_csv), "--out", str(out_dir)]
+        # evaluate offers no flag for a model field
+        with pytest.raises(SystemExit) as exc:
+            main(args + flags)
+        assert exc.value.code == EXIT_ARGUMENT
+        # and refuses one set to another value in a config file
+        config_file = tmp_path / "config.json"
+        pairs = zip(flags[::2], flags[1::2])
+        config_file.write_text(json.dumps({flag[2:].replace("-", "_"): json.loads(value) for flag, value in pairs}))
+        capsys.readouterr()
+        assert main(args + ["--config", str(config_file)]) == EXIT_ARGUMENT
         assert "must match the model" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_config_file_serves_both_commands(self, tmp_path, model_file, tour_csv):
+        # fit settings and model fields equal to the model's pass through
+        # evaluate into the config echo
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"knot_count": 4, "n_c": 20, "snippet_duration": 20.0}))
+        out_dir = tmp_path / "r"
+        args = ["evaluate", "--model", str(model_file), "--input", str(tour_csv), "--modes", "shift"]
+        assert main(args + ["--config", str(config_file), "--out", str(out_dir)]) == EXIT_OK
+        config = json.loads((out_dir / "report_shift.json").read_text())["config"]
+        assert (config["knot_count"], config["snippet_duration"]) == (4, 20.0)
+        model = tmp_path / "m.json"
+        assert main(["calibrate", "--input", str(tour_csv), "--config", str(config_file), "--out", str(model)]) == EXIT_OK
+        assert load_model(model).metadata["config"]["knot_count"] == 4
+
+    def test_segments_take_the_model_step(self, tmp_path, model_file):
+        # dt and sample_rate agree within ModelParams' tolerance, so the
+        # grid step 1 / sample_rate is not dt itself
+        document = json.loads(model_file.read_text())
+        document["params"].update(
+            dt=1000.0, sample_rate=0.0010000000005, smoothing_sigma=1000.0, smoothing_support=1000.0
+        )
+        model = tmp_path / "m1000.json"
+        model.write_text(json.dumps(document))
+        tour = tmp_path / "slow_grid.csv"
+        rows = [f"{k * 1000.0!r},1.8,{1.8 + 0.01 * (k % 3)!r},80" for k in range(10)]
+        tour.write_text("t,dist_left,dist_right,v_lon\n" + "\n".join(rows) + "\n")
+        args = ["evaluate", "--model", str(model), "--input", str(tour), "--snippet-duration", "2000"]
+        assert main(args + ["--out", str(tmp_path / "r")]) == EXIT_OK
 
     def test_model_fields_come_from_the_model(self, tmp_path, tour_csv):
         model = tmp_path / "m10.json"
@@ -445,6 +499,33 @@ class TestBench:
 
 
 class TestConfigResolution:
+    @pytest.mark.parametrize(
+        "argv, declared, expected",
+        [
+            (
+                ["calibrate", "--input", "t.csv", "--out", "m.json"],
+                CALIBRATE_SETTINGS,
+                {f.name for f in fields(RunConfig)} - {"snippet_duration"},
+            ),
+            (
+                ["evaluate", "--model", "m.json", "--input", "t.csv", "--out", "r"],
+                EVALUATE_SETTINGS,
+                {"v_min", "snippet_duration", "jump_threshold", "guard_steps"},
+            ),
+        ],
+        ids=["calibrate", "evaluate"],
+    )
+    def test_each_command_offers_a_flag_per_setting_it_reads(self, argv, declared, expected):
+        parser = build_parser()
+        offered = set()
+        for f in fields(RunConfig):
+            try:
+                parser.parse_args(argv + [f"--{f.name.replace('_', '-')}", "1"])
+            except SystemExit:  # argparse refuses a flag it does not know
+                continue
+            offered.add(f.name)
+        assert offered == set(declared) == expected
+
     def test_file_then_flag_precedence(self, tmp_path):
         config_file = tmp_path / "config.json"
         config_file.write_text(json.dumps({"n_c": 10, "jump_threshold": 0.3}))
@@ -457,16 +538,6 @@ class TestConfigResolution:
         assert config.n_c == 8  # flag beats file
         assert config.jump_threshold == 0.3  # file beats default
         assert config.dt == 0.2  # default survives
-
-    def test_env_var_supplies_config(self, tmp_path, monkeypatch):
-        config_file = tmp_path / "config.json"
-        config_file.write_text(json.dumps({"v_min": 50.0}))
-        monkeypatch.setenv("LANEWEAVE_CONFIG", str(config_file))
-
-        class Args:
-            config = None
-
-        assert resolve_config(Args()).v_min == 50.0
 
     def test_unknown_key_rejected(self, tmp_path):
         config_file = tmp_path / "config.json"

@@ -56,6 +56,27 @@ class TestRelativeOffset:
             return
         assert relative_offset(c * a, c * b) == pytest.approx(relative_offset(a, b), abs=1e-12)
 
+    def test_width_past_half_the_largest_float(self):
+        # doubling this width overflows; halving the quotient does not
+        assert relative_offset(1.7e308, 1.0) == 0.5
+        assert relative_offset(1.0, 1.7e308) == -0.5
+        assert relative_offset(1.2e308, 0.5e308) == pytest.approx(0.7 / 1.7 / 2, rel=1e-15)
+
+    def test_width_past_the_largest_float_rejected(self):
+        with pytest.raises(InvalidSampleError):
+            relative_offset(1.7e308, 1.7e308)
+        log = DriveLog(t=[0.0, 1.0], dist_left=[1.7e308, 1.7e308], dist_right=[1.0, 1.7e308], v_lon=[80.0, 80.0])
+        assert log.valid_mask().tolist() == [True, False]
+
+    @given(
+        st.floats(min_value=0.0, max_value=1e300),
+        st.floats(min_value=0.0, max_value=1e300),
+    )
+    def test_same_bits_as_the_doubled_width(self, a, b):
+        if a + b <= 0:
+            return
+        assert relative_offset(a, b) == (a - b) / (2.0 * (a + b))
+
     @given(distances, distances)
     def test_bounded(self, a, b):
         if a + b <= 0:

@@ -19,7 +19,7 @@ from laneweave.generator import (
     save_model,
 )
 from laneweave.markov import CoarseModel, discretize
-from laneweave.noise import FineModel, generate_noise
+from laneweave.noise import generate_noise
 from laneweave.synthetic import SyntheticSpec, banded_transition, make_model
 
 
@@ -52,7 +52,7 @@ class TestGenerateProfile:
         for model in (reference_model, other):
             rng_coarse, rng_fine = derive_streams(31)
             drift = coarse_profile(model, discretize(0.0, 20), n, rng_coarse)
-            jitter = generate_noise(model.fine, n, rng_fine).values
+            jitter = generate_noise(model.fine, n, rng_fine)
             profile = generate_profile(model, 0.0, n * 0.2, 31).values
             assert np.array_equal(profile, drift + jitter)
             jitters.append(jitter)
@@ -87,9 +87,16 @@ class TestModelConsistency:
             TwoLevelModel(params, reference_model.coarse, reference_model.fine)
 
     def test_dt_mismatch_rejected(self, reference_model):
-        bad_fine = FineModel(np.ones(1), 0.1, 0.03)
-        with pytest.raises(ValueError):
-            TwoLevelModel(reference_model.params, reference_model.coarse, bad_fine)
+        coarse = reference_model.coarse
+        bad_coarse = CoarseModel(
+            n_c=coarse.n_c,
+            dt=0.1,
+            transition=coarse.transition,
+            smoothing_sigma=coarse.smoothing_sigma,
+            smoothing_support=coarse.smoothing_support,
+        )
+        with pytest.raises(ValueError, match="dt"):
+            TwoLevelModel(reference_model.params, bad_coarse, reference_model.fine)
 
 
 class TestPersistence:

@@ -3,6 +3,7 @@ documented exit code (2 argument or config, 3 schema or model file, 4
 calibration or insufficient data), never in exit 1 or a traceback, and
 oversized requests are refused before anything is allocated for them."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import laneweave
-from laneweave.cli import EXIT_ARGUMENT, EXIT_CALIBRATION, EXIT_OK, EXIT_SCHEMA, main
+from laneweave.cli import EXIT_ARGUMENT, EXIT_CALIBRATION, EXIT_OK, EXIT_SCHEMA, build_parser, main
 from laneweave.core import (
     MAX_DT,
     MAX_N_C,
@@ -115,6 +116,11 @@ def files(tmp_path_factory):
             model_variant("taps", "fine", kernel_taps=[0.0] * (MAX_KERNEL_TAPS + 1)),
             model_variant("no_taps", "fine", kernel_taps=[]),
             model_variant("halfwidth", "fine", noise_halfwidth="wide"),
+            # numbers in another JSON type, which float() would read
+            model_variant("halfwidth_text", "fine", noise_halfwidth="0.03"),
+            model_variant("halfwidth_bool", "fine", noise_halfwidth=True),
+            model_variant("transition_text", "coarse", transition=[repr(p) for p in good["coarse"]["transition"]]),
+            model_variant("taps_bool", "fine", kernel_taps=[True] + good["fine"]["kernel_taps"][1:]),
             model_variant("transition", "coarse", transition=[[1.0]]),
             # the output bound, and twice the halfwidth, overflow
             model_variant("output_bound", "fine", noise_halfwidth=1e300, kernel_taps=[1e10] * 3),
@@ -218,6 +224,13 @@ MALFORMED = [
                                     "--duration", "10"], 3),
     ("model_tiny_dt", ["generate", "--model", "{root}/model_tiny_dt.json", "--x0", "0", "--duration", "2e-199"], 3),
     ("model_huge_dt", ["generate", "--model", "{root}/model_huge_dt.json", "--x0", "0", "--duration", "2e201"], 3),
+    ("model_halfwidth_text", ["generate", "--model", "{root}/model_halfwidth_text.json", "--x0", "0",
+                              "--duration", "10"], 3),
+    ("model_halfwidth_bool", ["generate", "--model", "{root}/model_halfwidth_bool.json", "--x0", "0",
+                              "--duration", "10"], 3),
+    ("model_transition_text", ["generate", "--model", "{root}/model_transition_text.json", "--x0", "0",
+                               "--duration", "10"], 3),
+    ("model_taps_bool", ["generate", "--model", "{root}/model_taps_bool.json", "--x0", "0", "--duration", "10"], 3),
     ("model_cap_threshold_huge", ["generate", "--model", "{root}/model_cap_threshold.json", "--x0", "0",
                                   "--duration", "10"], 3),
     ("calibrate_cap_threshold_huge", ["calibrate", "--input", "{root}/tour.csv", "--cap-threshold", "1e308"], 2),
@@ -291,17 +304,17 @@ class TestBoundsAreChecked:
 
     def test_noise_halfwidth(self):
         assert ModelParams(cap_threshold=MAX_NOISE_HALFWIDTH).cap_threshold == MAX_NOISE_HALFWIDTH
-        assert FineModel(np.zeros(1), 0.2, MAX_NOISE_HALFWIDTH).noise_halfwidth == MAX_NOISE_HALFWIDTH
+        assert FineModel(np.zeros(1), MAX_NOISE_HALFWIDTH).noise_halfwidth == MAX_NOISE_HALFWIDTH
         too_wide = np.nextafter(MAX_NOISE_HALFWIDTH, np.inf)
         with pytest.raises(ValueError, match="cap_threshold"):
             ModelParams(cap_threshold=too_wide)
         with pytest.raises(ValueError, match="noise_halfwidth"):
-            FineModel(np.zeros(1), 0.2, too_wide)
+            FineModel(np.zeros(1), too_wide)
 
     def test_kernel_taps(self):
-        assert FineModel(np.zeros(MAX_KERNEL_TAPS), 0.2, 0.03).kernel_taps.size == MAX_KERNEL_TAPS
+        assert FineModel(np.zeros(MAX_KERNEL_TAPS), 0.03).kernel_taps.size == MAX_KERNEL_TAPS
         with pytest.raises(ValueError, match="kernel taps"):
-            FineModel(np.zeros(MAX_KERNEL_TAPS + 1), 0.2, 0.03)
+            FineModel(np.zeros(MAX_KERNEL_TAPS + 1), 0.03)
 
     def test_knot_count(self):
         assert RunConfig(window_length=10, knot_count=6).knot_count == 6
@@ -314,20 +327,21 @@ class TestBoundsAreChecked:
 # near the bounds run in the capped subprocess above.
 FLOATS = ["0", "-1", "0.5", "2", "nan", "inf", "-inf", "1e-300", "1e15", "1e308", "abc", ""]
 INTS = ["-1", "0", "1", "3", "1000000000000", "1.5", "abc"]
-CONFIG_FLAGS = {
-    "--n-c": INTS,
-    "--dt": FLOATS,
-    "--sample-rate": FLOATS,
-    "--smoothing-sigma": FLOATS,
-    "--smoothing-support": FLOATS,
-    "--cap-threshold": FLOATS,
-    "--v-min": FLOATS,
-    "--snippet-duration": FLOATS,
-    "--knot-count": INTS,
-    "--window-length": INTS,
-    "--jump-threshold": FLOATS,
-    "--guard-steps": INTS,
-}
+
+
+def _setting_flags(command: str) -> dict[str, list[str]]:
+    """The command's setting flags, read from its parser, each with the
+    edge values of its type."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    names = {f.name for f in fields(RunConfig)}
+    return {
+        action.option_strings[0]: INTS if action.type is int else FLOATS
+        for action in subparsers.choices[command]._actions
+        if action.dest in names
+    }
+
+
+SETTING_FLAGS = {command: _setting_flags(command) for command in ("calibrate", "evaluate")}
 
 
 @st.composite
@@ -344,8 +358,9 @@ def command_lines(draw, files):
         argv += ["--model", pick(files["models"])]
     if command in ("calibrate", "evaluate"):
         argv += ["--input", pick(files["csvs"])]
-        for flag in draw(st.lists(st.sampled_from(sorted(CONFIG_FLAGS)), max_size=3, unique=True)):
-            argv += [flag, pick(CONFIG_FLAGS[flag])]
+        flags = SETTING_FLAGS[command]
+        for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+            argv += [flag, pick(flags[flag])]
         if draw(st.booleans()):
             argv += ["--config", pick(files["configs"])]
     if command == "generate":

@@ -149,7 +149,7 @@ class TestFitKernel:
         fine, fit = fit_kernel([series(np.zeros(4096))], params)
         assert np.allclose(fit.knot_values, 0.0, atol=1e-12)
         noise = generate_noise(fine, 1000, 3)
-        assert np.abs(noise.values).max() <= 1e-12
+        assert np.abs(noise).max() <= 1e-12
 
     def test_insufficient_data_names_shortfall(self, params):
         with pytest.raises(CalibrationError, match="2048"):
@@ -163,34 +163,35 @@ class TestFitKernel:
 
 class TestGenerateNoise:
     def test_identity_kernel_is_raw_uniform(self):
-        model = FineModel(np.ones(1), 0.2, 0.03)
-        out = generate_noise(model, 10_000, 5).values
+        model = FineModel(np.ones(1), 0.03)
+        out = generate_noise(model, 10_000, 5)
         assert np.abs(out).max() <= 0.03
         assert np.abs(out).max() > 0.029  # nearly reaches the bound
 
     def test_two_tap_average_has_half_lag_one_autocorrelation(self):
-        model = FineModel(np.array([0.5, 0.5]), 0.2, 0.03)
-        out = generate_noise(model, 100_000, 6).values
+        model = FineModel(np.array([0.5, 0.5]), 0.03)
+        out = generate_noise(model, 100_000, 6)
         centered = out - out.mean()
         rho = (centered[1:] * centered[:-1]).mean() / centered.var()
         assert rho == pytest.approx(0.5, abs=0.02)
 
     def test_convolution_bound_always_holds(self, reference_taps):
-        model = FineModel(reference_taps, 0.2, 0.03)
-        out = generate_noise(model, 50_000, 7).values
+        model = FineModel(reference_taps, 0.03)
+        out = generate_noise(model, 50_000, 7)
         assert np.abs(out).max() <= model.output_bound + 1e-15
 
     def test_mean_is_stationary_near_zero(self, reference_taps):
-        model = FineModel(reference_taps, 0.2, 0.03)
-        out = generate_noise(model, 1_000_000, 8).values
+        model = FineModel(reference_taps, 0.03)
+        out = generate_noise(model, 1_000_000, 8)
         # var(mean) ~ (r^2/3) * (sum taps)^2 / n for the summed drive
         se = 0.03 * abs(reference_taps.sum()) / np.sqrt(3 * out.size)
         assert abs(out.mean()) <= 3 * se
 
     def test_deterministic_per_seed(self, reference_taps):
-        model = FineModel(reference_taps, 0.2, 0.03)
-        a = generate_noise(model, 1000, 9).values
-        b = generate_noise(model, 1000, 9).values
+        model = FineModel(reference_taps, 0.03)
+        a = generate_noise(model, 1000, 9)
+        b = generate_noise(model, 1000, 9)
+        assert isinstance(a, np.ndarray) and a.shape == (1000,)
         assert np.array_equal(a, b)
 
     def test_spectral_consistency_with_fitted_damping(self, params, reference_taps):
@@ -205,7 +206,7 @@ class TestGenerateNoise:
         total = 0
         for k in range(20):
             out = generate_noise(fine, 8192, np.random.default_rng([55, k]))
-            freqs, mag, count = average_magnitude_spectrum([out.values], 256, dt=params.dt)
+            freqs, mag, count = average_magnitude_spectrum([out], 256, dt=params.dt)
             acc += mag * count
             total += count
         measured = acc / total
@@ -214,7 +215,7 @@ class TestGenerateNoise:
         assert rel <= 0.10
 
     def test_rejects_zero_steps(self, reference_taps):
-        model = FineModel(reference_taps, 0.2, 0.03)
+        model = FineModel(reference_taps, 0.03)
         with pytest.raises(ValueError):
             generate_noise(model, 0, 0)
 
@@ -222,12 +223,12 @@ class TestGenerateNoise:
 class TestFineModelValidation:
     def test_rejects_empty_taps(self):
         with pytest.raises(ValueError):
-            FineModel(np.array([]), 0.2, 0.03)
+            FineModel(np.array([]), 0.03)
 
     def test_rejects_nonfinite_taps(self):
         with pytest.raises(ValueError):
-            FineModel(np.array([np.inf]), 0.2, 0.03)
+            FineModel(np.array([np.inf]), 0.03)
 
     def test_rejects_nonpositive_halfwidth(self):
         with pytest.raises(ValueError):
-            FineModel(np.ones(1), 0.2, 0.0)
+            FineModel(np.ones(1), 0.0)

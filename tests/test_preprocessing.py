@@ -169,6 +169,19 @@ class TestExtractSegments:
         with pytest.raises(ValueError):
             extract_segments(track, params)
 
+    def test_segments_take_the_model_step(self):
+        # the rate agrees with dt within ModelParams' tolerance, so the
+        # grid step 1 / sample_rate differs from dt in its last digits
+        params = ModelParams(
+            dt=1000.0, sample_rate=0.0010000000005, smoothing_sigma=1000.0, smoothing_support=1000.0
+        )
+        t = np.arange(10) * 1000.0
+        track = resample(log_from_offsets(t, np.zeros(10), np.full(10, 80.0)), params.sample_rate)
+        assert track.dt != params.dt
+        (segment,) = extract_segments(track, params)
+        assert segment.series.dt == params.dt
+        assert segment.start_t == 0.0 and len(segment) == 10
+
     def test_source_tour_propagated(self, params):
         track = track_from_offsets(np.zeros(10))
         assert extract_segments(track, params)[0].source_tour == "test"
