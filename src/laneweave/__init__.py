@@ -21,6 +21,7 @@ from .evaluation import (
     evaluate,
     ks_critical_value,
     ks_distance,
+    report_json,
     run_mode,
     split_snippets,
     summarize,
@@ -83,6 +84,7 @@ __all__ = [
     "make_model",
     "measured_coarse",
     "relative_offset",
+    "report_json",
     "resample",
     "run_mode",
     "sample_chain",

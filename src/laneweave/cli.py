@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ModelParams, RunConfig
+from .core import ModelParams, RunConfig, check_seed
 from .errors import (
     ArgumentUsageError,
     CalibrationError,
@@ -24,7 +24,7 @@ from .errors import (
     SchemaError,
     SyntheticSpecError,
 )
-from .evaluation import EvalMode, evaluate, summarize, window_steps
+from .evaluation import evaluate, parse_modes, report_json, summarize, window_steps
 from .generator import atomic_write_text, generate_profile, load_model, read_input, save_model
 from .pipeline import (
     bench_generation,
@@ -131,17 +131,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ArgumentUsageError(
             f"{', '.join(mismatched)} must match the model; evaluation takes them from it"
         )
-    # the snippet window and the modes are rejected before any tour is read
+    # the snippet window, the modes and the seed are rejected before any tour is read
     window_steps(config.snippet_duration, config.dt)
-    modes = [EvalMode.parse(name) for name in args.modes.split(",")]
+    modes = parse_modes(args.modes)
+    check_seed(args.seed)
     segments = ingest_segments(args.input, config)
     reports = evaluate(modes, segments, model, args.seed, snippet_duration=config.snippet_duration)
     out_dir = Path(args.out)
     for report in reports:
-        document = report.to_dict()
-        document["config"] = config.to_dict()
         name = report.mode.value
-        atomic_write_text(out_dir / f"report_{name}.json", json.dumps(document, indent=2) + "\n")
+        atomic_write_text(out_dir / f"report_{name}.json", report_json(report, config))
         atomic_write_text(out_dir / f"summary_{name}.csv", summarize(report))
         worst = max(report.ks, key=report.ks.get)
         print(f"mode={name} snippets={report.snippet_count} max_ks={report.ks[worst]:.4f} ({worst})")

@@ -206,9 +206,14 @@ def as_generator(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def seed_children(seed, n: int) -> list[np.random.SeedSequence]:
-    """Derive n independent child seeds from a master seed."""
+def check_seed(seed) -> None:
+    """Refuse a negative integer seed, which SeedSequence cannot take."""
     if isinstance(seed, numbers.Integral) and seed < 0:
         raise ArgumentUsageError(f"seed must be non-negative, got {seed}")
+
+
+def seed_children(seed, n: int) -> list[np.random.SeedSequence]:
+    """Derive n independent child seeds from a master seed."""
+    check_seed(seed)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return ss.spawn(n)

@@ -4,7 +4,9 @@ comparison via the two-sample Kolmogorov-Smirnov distance."""
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -12,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import OffsetSeries, seed_children
+from .core import OffsetSeries, RunConfig, seed_children
 from .errors import ArgumentUsageError, EvaluationError, MetricError
 from .generator import TwoLevelModel, coarse_profile, generate_profile
 from .markov import discretize
@@ -33,6 +35,7 @@ METRIC_NAMES = (
 )
 
 QUANTILE_LADDER = tuple(round(0.05 * k, 2) for k in range(1, 20))
+LADDER_KEYS = tuple(f"q{int(round(level * 100)):02d}" for level in QUANTILE_LADDER)
 
 SHIFT_SECONDS = 5.0
 
@@ -51,6 +54,19 @@ class EvalMode(str, Enum):
                 return mode
         valid = ", ".join(mode.value for mode in cls)
         raise ArgumentUsageError(f"unknown evaluation mode {name!r}; valid modes: {valid}")
+
+
+def parse_modes(names: str) -> list[EvalMode]:
+    """The modes of a comma-separated list, in its order; each may appear once."""
+    modes = [EvalMode.parse(name) for name in names.split(",")]
+    _refuse_repeated(modes)
+    return modes
+
+
+def _refuse_repeated(modes: Sequence[EvalMode]) -> None:
+    for k, mode in enumerate(modes):
+        if mode in modes[:k]:
+            raise ArgumentUsageError(f"evaluation mode {mode.value!r} is given more than once")
 
 
 def compute_metrics(values) -> np.ndarray:
@@ -135,45 +151,64 @@ def ks_critical_value(n: int, m: int, alpha: float = 0.01) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class Population:
+    """One side's metric rows, a (snippet_count, 10) array in METRIC_NAMES
+    column order, with the summaries and JSON list texts the report files
+    are made of, each built on first use. The reports of one evaluate call
+    share one real Population, so its summaries and texts are built once."""
+
+    rows: np.ndarray
+
+    @cached_property
+    def summaries(self) -> list[dict]:
+        """The summary of each metric column, in METRIC_NAMES order."""
+        return _population_summaries(self.rows)
+
+    @cached_property
+    def list_texts(self) -> list[str]:
+        """Each metric column as compact JSON text, by the C encoder."""
+        return [json.dumps(column) for column in self.rows.T.tolist()]
+
+
+@dataclass(frozen=True, eq=False)
 class EvaluationReport:
     """Paired metric populations for one mode, with per-metric KS distances.
 
-    real and artificial are (snippet_count, 10) arrays in METRIC_NAMES
-    column order; row i of both sides belongs to the same real snippet.
+    Row i of both sides belongs to the same real snippet.
     """
 
     mode: EvalMode
-    real: np.ndarray
-    artificial: np.ndarray
+    real_population: Population
+    artificial_population: Population
     ks: dict[str, float]
     seed: int | None
+
+    @property
+    def real(self) -> np.ndarray:
+        return self.real_population.rows
+
+    @property
+    def artificial(self) -> np.ndarray:
+        return self.artificial_population.rows
 
     @property
     def snippet_count(self) -> int:
         return self.real.shape[0]
 
-    @cached_property
-    def summaries(self) -> dict[str, dict[str, dict]]:
-        """Population summary per metric name and side ("real",
-        "artificial"), computed once for to_dict and summarize."""
-        return {
-            name: {
-                "real": _population_summary(self.real[:, j]),
-                "artificial": _population_summary(self.artificial[:, j]),
-            }
-            for j, name in enumerate(METRIC_NAMES)
-        }
-
     def to_dict(self) -> dict:
+        return self._document(self.real.T.tolist(), self.artificial.T.tolist())
+
+    def _document(self, real_columns: Sequence, artificial_columns: Sequence) -> dict:
+        """The report document, with the given values in place of each
+        side's metric lists."""
         metrics = {}
         for j, name in enumerate(METRIC_NAMES):
-            summary = self.summaries[name]
             metrics[name] = {
                 "ks_distance": self.ks[name],
-                "real_summary": dict(summary["real"]),
-                "artificial_summary": dict(summary["artificial"]),
-                "real": self.real[:, j].tolist(),
-                "artificial": self.artificial[:, j].tolist(),
+                "real_summary": dict(self.real_population.summaries[j]),
+                "artificial_summary": dict(self.artificial_population.summaries[j]),
+                "real": real_columns[j],
+                "artificial": artificial_columns[j],
             }
         return {
             "mode": self.mode.value,
@@ -183,16 +218,63 @@ class EvaluationReport:
         }
 
 
-def _population_summary(values: np.ndarray) -> dict:
-    out = {
-        "count": int(values.size),
-        "min": float(values.min()),
-        "mean": float(values.mean()),
-        "max": float(values.max()),
-    }
-    for level, q in zip(QUANTILE_LADDER, np.quantile(values, QUANTILE_LADDER)):
-        out[f"q{int(round(level * 100)):02d}"] = float(q)
-    return out
+# report_json's stand-in for metric list k: NUL and a number. No other
+# string of the document holds a NUL, which json.dumps writes as \u0000.
+_LIST_SLOT = re.compile(r'"\\u0000(\d+)"')
+
+
+def report_json(report: EvaluationReport, config: RunConfig) -> str:
+    """The text of a report file: exactly json.dumps(document, indent=2)
+    plus a newline, where document is report.to_dict() with
+    config.to_dict() under "config".
+
+    Each metric list is written by the C encoder (Population.list_texts,
+    which words NaN and the infinities as the indenting encoder does) and
+    indented here; the rest goes through json.dumps. A list's text is
+    placed by a numbered stand-in string, and no number's text holds the
+    ", " that separates its items.
+    """
+    count = len(METRIC_NAMES)
+    slots = [f"\0{k}" for k in range(2 * count)]
+    document = report._document(slots[:count], slots[count:])
+    document["config"] = config.to_dict()
+    texts = report.real_population.list_texts + report.artificial_population.list_texts
+    pieces = _LIST_SLOT.split(json.dumps(document, indent=2))
+    out = [pieces[0]]
+    for k, after in zip(pieces[1::2], pieces[2::2]):
+        line = out[-1][out[-1].rfind("\n") + 1 :]
+        out += [_indented_list(texts[int(k)], line[: len(line) - len(line.lstrip(" "))]), after]
+    out.append("\n")
+    return "".join(out)
+
+
+def _indented_list(text: str, indent: str) -> str:
+    """A compact JSON list of at least one item as json.dumps(indent=2)
+    lays it out on a line indented by indent."""
+    item = "\n" + indent + "  "
+    return "[" + item + text[1:-1].replace(", ", "," + item) + "\n" + indent + "]"
+
+
+def _population_summaries(rows: np.ndarray) -> list[dict]:
+    """Count, min, mean, max and the quantile ladder of each column of a
+    (count, 10) population, with the bits that summarizing each column
+    alone gives.
+
+    The means and the quantile ladders of all columns come from one
+    reduction each over the contiguous transpose, whose rows reduce in
+    the order the strided columns do. Min and max reduce each strided
+    column: on the contiguous transpose, or along axis 0, numpy's SIMD
+    loops can return 0.0 where the column gives -0.0.
+    """
+    columns = np.ascontiguousarray(rows.T)
+    lows = [float(column.min()) for column in rows.T]
+    highs = [float(column.max()) for column in rows.T]
+    means = columns.mean(axis=1).tolist()
+    ladders = np.quantile(columns, QUANTILE_LADDER, axis=1).T.tolist()
+    return [
+        {"count": rows.shape[0], "min": low, "mean": mean, "max": high, **dict(zip(LADDER_KEYS, ladder))}
+        for low, mean, high, ladder in zip(lows, means, highs, ladders)
+    ]
 
 
 def run_mode(
@@ -217,14 +299,19 @@ def evaluate(
     snippet_duration: float | None = None,
 ) -> list[EvaluationReport]:
     """Build the paired artificial population of each mode and compare,
-    one report per mode in the given order.
+    one report per mode in the given order; each mode may appear once.
 
     The real side (the snippets, their measured drift and capped residual,
-    and their metrics) is built once and shared by every mode. Every real
-    snippet gets an artificial counterpart of the same length and initial
-    offset. Each mode derives one child stream per snippet from rng_seed,
-    so reports repeat exactly under the same seed.
+    their metrics, and the summaries and JSON texts of those) is built once
+    and shared by every mode. Every real snippet gets an artificial
+    counterpart of the same length and initial offset. One child seed per
+    snippet is spawned from rng_seed once, and every mode draws snippet i
+    from child i, so reports repeat exactly under the same seed. With an
+    int seed each mode gets the children it would get alone; with None the
+    modes share one entropy draw.
     """
+    modes = list(modes)
+    _refuse_repeated(modes)
     params = model.params
     duration = params.snippet_duration if snippet_duration is None else snippet_duration
     w = window_steps(duration, params.dt)
@@ -242,11 +329,12 @@ def evaluate(
         raise EvaluationError("no snippets: every segment is shorter than the snippet window")
     real, drift, capped = (np.concatenate(parts) for parts in zip(*blocks))
     real_rows = compute_metrics(real)
+    real_population = Population(real_rows)
     seed = None if rng_seed is None else int(rng_seed)
+    children = seed_children(rng_seed, real.shape[0])
 
     reports = []
     for mode in modes:
-        children = seed_children(rng_seed, real.shape[0])
         if mode is EvalMode.SHIFT_TEST:
             shifted = [_windows(np.roll(c, shift_steps), w) for _, _, c in tracks]
             art = drift + np.concatenate(shifted)
@@ -276,7 +364,7 @@ def evaluate(
             name: ks_distance(real_rows[:, j], art_rows[:, j])
             for j, name in enumerate(METRIC_NAMES)
         }
-        reports.append(EvaluationReport(mode, real=real_rows, artificial=art_rows, ks=ks, seed=seed))
+        reports.append(EvaluationReport(mode, real_population, Population(art_rows), ks, seed))
     return reports
 
 
@@ -285,13 +373,13 @@ def summarize(report: EvaluationReport) -> str:
     max, and the q05..q95 quantile ladder."""
     if report.snippet_count == 0:
         raise EvaluationError("report holds no snippets")
-    ladder_names = [f"q{int(round(level * 100)):02d}" for level in QUANTILE_LADDER]
-    header = ["metric", "population", "count", "min", "mean", "max", *ladder_names]
+    header = ["metric", "population", "count", "min", "mean", "max", *LADDER_KEYS]
     lines = [",".join(header)]
-    for name in METRIC_NAMES:
-        for population in ("real", "artificial"):
-            summary = report.summaries[name][population]
-            cells = [name, population, str(summary["count"])]
-            cells += [repr(summary[key]) for key in ("min", "mean", "max", *ladder_names)]
+    sides = (("real", report.real_population), ("artificial", report.artificial_population))
+    for j, name in enumerate(METRIC_NAMES):
+        for side, population in sides:
+            summary = population.summaries[j]
+            cells = [name, side, str(summary["count"])]
+            cells += [repr(summary[key]) for key in ("min", "mean", "max", *LADDER_KEYS)]
             lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

@@ -1,7 +1,7 @@
 """Brute-force reference implementations, deliberately sharing no logic
 with the package (only its data and error types): plain Python loops,
 fsum, manual order statistics, one numpy binary search per chain step,
-and a cell-by-cell CSV reader."""
+a cell-by-cell CSV reader, and the one-column population summary."""
 
 import math
 from pathlib import Path
@@ -10,6 +10,7 @@ import numpy as np
 
 from laneweave.core import DriveLog
 from laneweave.errors import SchemaError
+from laneweave.evaluation import QUANTILE_LADDER
 
 CSV_COLUMNS = ("t", "dist_left", "dist_right", "v_lon")
 
@@ -44,6 +45,20 @@ def brute_force_metrics(values):
         "mean_diff_10": dmean * 10.0,
         "std_diff_10": math.sqrt(dvar) * 10.0,
     }
+
+
+def population_summary(values):
+    """Count, min, mean, max and the quantile ladder of one metric column,
+    reduced on its own."""
+    out = {
+        "count": int(values.size),
+        "min": float(values.min()),
+        "mean": float(values.mean()),
+        "max": float(values.max()),
+    }
+    for level, q in zip(QUANTILE_LADDER, np.quantile(values, QUANTILE_LADDER)):
+        out[f"q{int(round(level * 100)):02d}"] = float(q)
+    return out
 
 
 def brute_force_smooth(values, taps):

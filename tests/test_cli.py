@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laneweave import errors, evaluation
+from laneweave import errors, evaluation, pipeline
 from laneweave.cli import (
     CALIBRATE_SETTINGS,
     EVALUATE_SETTINGS,
@@ -350,6 +350,25 @@ class TestEvaluate:
         )
         assert code == EXIT_ARGUMENT
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "seed must be non-negative, got -1"),
+            (["--modes", "full,full"], "evaluation mode 'full' is given more than once"),
+            (["--modes", "shift,coarse,SHIFT"], "evaluation mode 'shift' is given more than once"),
+            (["--modes", "sideways"], "unknown evaluation mode 'sideways'"),
+        ],
+    )
+    def test_bad_seed_or_modes_refused_before_any_tour_is_read(
+        self, capsys, tmp_path, model_file, tour_csv, flags, message
+    ):
+        out_dir = tmp_path / "r"
+        args = ["evaluate", "--model", str(model_file), "--input", str(tour_csv), "--out", str(out_dir)]
+        with mock.patch.object(pipeline, "_ingest_tour", wraps=pipeline._ingest_tour) as spy:
+            assert main(args + flags) == EXIT_ARGUMENT
+        assert spy.call_count == 0
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_snippet_duration_is_honoured(self, tmp_path, model_file, tour_csv):
         out_dir = tmp_path / "r"

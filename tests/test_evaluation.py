@@ -1,3 +1,4 @@
+import json
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -7,14 +8,19 @@ import pytest
 from hypothesis import given, settings
 
 from laneweave import evaluation
-from laneweave.core import OffsetSeries
-from laneweave.errors import EvaluationError, MetricError
+from laneweave.core import OffsetSeries, RunConfig
+from laneweave.errors import ArgumentUsageError, EvaluationError, MetricError
 from laneweave.evaluation import (
     METRIC_NAMES,
     EvalMode,
+    EvaluationReport,
+    Population,
     compute_metrics,
+    evaluate,
     ks_critical_value,
     ks_distance,
+    parse_modes,
+    report_json,
     run_mode,
     split_snippets,
     summarize,
@@ -25,7 +31,7 @@ from laneweave.noise import measured_coarse
 from laneweave.preprocessing import Segment
 from laneweave.synthetic import SyntheticSpec, make_model
 
-from _oracles import brute_force_ks, brute_force_metrics
+from _oracles import brute_force_ks, brute_force_metrics, population_summary
 
 
 def series(values, dt=0.2):
@@ -38,6 +44,43 @@ def segment(values, dt=0.2):
 
 def column(metrics, name):
     return metrics[..., METRIC_NAMES.index(name)]
+
+
+SPECIAL_VALUES = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308)
+metric_values = (
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from(SPECIAL_VALUES)
+    | st.floats(-1.0, 1.0).map(lambda v: round(v, 2))
+)
+
+
+@st.composite
+def populations(draw, count=None):
+    """(count, 10) metric rows: up to 20 rows drawn value by value, or
+    normal draws (rounded to 2 decimals or not), or 0.0, -0.0 and 1.0 at
+    random, with special values placed among them."""
+    if count is None:
+        count = draw(st.integers(0, 20) | st.integers(0, 300))
+    if count <= 20 and draw(st.booleans()):
+        return draw(hnp.arrays(np.float64, (count, len(METRIC_NAMES)), elements=metric_values))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (count, len(METRIC_NAMES))
+    kind = draw(st.sampled_from(["normal", "rounded", "signed zeros"]))
+    if kind == "signed zeros":
+        rows = rng.choice([0.0, -0.0, 1.0], shape)
+    else:
+        rows = rng.normal(0.0, 1.0, shape)
+        if kind == "rounded":
+            rows = rows.round(2)
+    if count:
+        for _ in range(draw(st.integers(0, 6))):
+            i, j = draw(st.integers(0, count - 1)), draw(st.integers(0, len(METRIC_NAMES) - 1))
+            rows[i, j] = draw(st.sampled_from(SPECIAL_VALUES))
+    return rows
+
+
+def same_bits(a, b) -> bool:
+    return type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 class TestComputeMetrics:
@@ -231,6 +274,25 @@ class TestRunMode:
         assert np.array_equal(report.real, compute_metrics(windows))
         assert report.artificial.shape == report.real.shape
 
+    def test_seed_children_spawned_once(self, gentle_model, gentle_segments):
+        with mock.patch.object(evaluation, "seed_children", wraps=evaluation.seed_children) as spy:
+            evaluate(list(EvalMode), gentle_segments, gentle_model, 0)
+        assert spy.call_count == 1
+
+    def test_shared_children_give_each_mode_its_own_report(self, gentle_model, gentle_segments):
+        # full spawns from each child; the modes after it draw the same
+        modes = [EvalMode.FULL, EvalMode.FINE_ONLY, EvalMode.COARSE_ONLY, EvalMode.SHIFT_TEST]
+        for report in evaluate(modes, gentle_segments, gentle_model, 5):
+            alone = run_mode(report.mode, gentle_segments, gentle_model, 5)
+            assert np.array_equal(report.artificial, alone.artificial)
+
+    def test_repeated_mode_is_refused(self, gentle_model, gentle_segments):
+        with pytest.raises(ArgumentUsageError, match="'full' is given more than once"):
+            parse_modes("full,shift,FULL")
+        with pytest.raises(ArgumentUsageError, match="'coarse' is given more than once"):
+            evaluate([EvalMode.COARSE_ONLY] * 2, gentle_segments, gentle_model, 0)
+        assert parse_modes("shift,full") == [EvalMode.SHIFT_TEST, EvalMode.FULL]
+
     def test_seeded_repeatability(self, gentle_model, gentle_segments):
         a = run_mode(EvalMode.FULL, gentle_segments, gentle_model, 7)
         b = run_mode(EvalMode.FULL, gentle_segments, gentle_model, 7)
@@ -270,16 +332,68 @@ class TestSummarize:
             assert real_line.split(",")[2:] == art_line.split(",")[2:]
 
     def test_each_population_summarized_once(self, gentle_model, gentle_segments):
-        report = run_mode(EvalMode.SHIFT_TEST, gentle_segments, gentle_model, 0)
-        summary = evaluation._population_summary
-        with mock.patch.object(evaluation, "_population_summary", wraps=summary) as spy:
-            document = report.to_dict()
-            text = summarize(report)
-        assert spy.call_count == 2 * len(METRIC_NAMES)
+        config = RunConfig()
+        batched = evaluation._population_summaries
+        with mock.patch.object(evaluation, "_population_summaries", wraps=batched) as spy:
+            reports = evaluate(list(EvalMode), gentle_segments, gentle_model, 0)
+            texts = [(report_json(report, config), summarize(report)) for report in reports]
+        # the real population once for all four modes, then each artificial one
+        summarized = [call.args[0] for call in spy.call_args_list]
+        assert len(summarized) == 1 + len(reports)
+        assert sum(rows is reports[0].real for rows in summarized) == 1
+        for report in reports:
+            assert report.real_population is reports[0].real_population
+            assert sum(rows is report.artificial for rows in summarized) == 1
         # the report's summaries are copied out, not shared
+        document = reports[0].to_dict()
         document["metrics"]["mean"]["real_summary"]["min"] = 99.0
-        assert summarize(report) == text
-        assert report.to_dict()["metrics"]["mean"]["real_summary"] == summary(report.real[:, 2])
+        assert summarize(reports[0]) == texts[0][1]
+        assert report_json(reports[0], config) == texts[0][0]
+        real_mean = reports[0].to_dict()["metrics"]["mean"]["real_summary"]
+        assert real_mean == population_summary(reports[0].real[:, 2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=populations())
+    def test_batched_summaries_match_the_oracle(self, rows):
+        with np.errstate(all="ignore"):
+            if rows.shape[0] == 0:
+                # an empty column has no min; evaluate never builds one
+                with pytest.raises(ValueError):
+                    population_summary(rows[:, 0])
+                with pytest.raises(ValueError):
+                    evaluation._population_summaries(rows)
+                return
+            batched = evaluation._population_summaries(rows)
+            assert len(batched) == len(METRIC_NAMES)
+            for j, summary in enumerate(batched):
+                expected = population_summary(rows[:, j])
+                assert list(summary) == list(expected)
+                assert all(same_bits(summary[key], expected[key]) for key in expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        real=populations(),
+        data=st.data(),
+        mode=st.sampled_from(list(EvalMode)),
+        seed=st.none() | st.integers(0, 2**63),
+        ks=st.lists(metric_values, min_size=len(METRIC_NAMES), max_size=len(METRIC_NAMES)),
+    )
+    def test_report_json_is_the_indented_document(self, real, data, mode, seed, ks):
+        artificial = data.draw(populations(count=real.shape[0]))
+        report = EvaluationReport(
+            mode, Population(real), Population(artificial), dict(zip(METRIC_NAMES, ks)), seed
+        )
+        config = RunConfig()
+        with np.errstate(all="ignore"):
+            if real.shape[0] == 0:
+                with pytest.raises(ValueError):
+                    report.to_dict()
+                with pytest.raises(ValueError):
+                    report_json(report, config)
+                return
+            document = report.to_dict()
+            document["config"] = config.to_dict()
+            assert report_json(report, config) == json.dumps(document, indent=2) + "\n"
 
     def test_report_to_dict_is_json_ready(self, gentle_model, gentle_segments):
         import json
