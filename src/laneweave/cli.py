@@ -81,7 +81,7 @@ def resolve_config(args: argparse.Namespace, base: ModelParams | None = None) ->
             settings[key] = value
     try:
         return RunConfig(**settings)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ArgumentUsageError(f"invalid configuration: {exc}") from None
 
 

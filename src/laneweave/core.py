@@ -7,9 +7,7 @@ right one.
 
 from __future__ import annotations
 
-import math
 import numbers
-import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import Union
 
@@ -18,6 +16,8 @@ import numpy as np
 from .errors import ArgumentUsageError, InvalidSampleError
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
+# a seed that seed_children splits; check_seed refuses any other
+MasterSeed = Union[int, np.random.SeedSequence, None]
 
 _LOG_COLUMNS = ("t", "dist_left", "dist_right", "v_lon", "lane_id")
 # Upper bounds checked before anything is sized from the parameters:
@@ -25,14 +25,13 @@ _LOG_COLUMNS = ("t", "dist_left", "dist_right", "v_lon", "lane_id")
 # kernel has 2 * round(smoothing_support / dt) + 1 taps.
 MAX_N_C = 1000
 MAX_SMOOTHING_STEPS = 500
-# Step range in which markov.gaussian_kernel's squared sigma (floored at
-# SIGMA_FLOOR_STEPS steps of dt) and squared offsets (up to
-# MAX_SMOOTHING_STEPS steps) stay normal floats; outside it taps are NaN.
+# markov.gaussian_kernel floors sigma at this many steps of dt
 SIGMA_FLOOR_STEPS = 1 / 64
-MIN_DT, MAX_DT = 1e-150, 1e150
-# Largest cap_threshold, which calibration makes the fine model's noise
-# halfwidth: noise.generate_noise draws from a range twice as wide.
-MAX_NOISE_HALFWIDTH = sys.float_info.max / 2
+# Largest magnitude of every float parameter, fine-model number and fine
+# output bound: the square of any bounded number, or the product of two,
+# stays finite, and with dt >= 1 / MAX_MAGNITUDE the floored sigma squares
+# to a normal float. So no kernel, spectral floor or metric overflows.
+MAX_MAGNITUDE = 1e150
 
 
 @dataclass(frozen=True)
@@ -40,8 +39,8 @@ class ModelParams:
     """Parameter set shared by calibration, generation, and evaluation.
 
     Each field takes the type of its default: an integer field refuses a
-    bool or non-integer with TypeError, a float field a bool or
-    non-finite number with ValueError.
+    bool or non-integer with TypeError, a float field a bool, a non-number
+    or a number of magnitude above MAX_MAGNITUDE with ValueError.
     """
 
     n_c: int = 20
@@ -59,12 +58,16 @@ class ModelParams:
             if isinstance(f.default, int):
                 if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                     raise TypeError(f"{f.name} must be an integer, got {value!r}")
-            elif isinstance(value, bool) or not math.isfinite(value):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            elif isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and abs(value) <= MAX_MAGNITUDE
+            ):
+                raise ValueError(
+                    f"{f.name} must be a number of magnitude at most {MAX_MAGNITUDE:g}, got {value!r}"
+                )
         if not 2 <= self.n_c <= MAX_N_C:
             raise ValueError(f"n_c must lie in [2, {MAX_N_C}], got {self.n_c}")
-        if not MIN_DT <= self.dt <= MAX_DT:
-            raise ValueError(f"dt must lie in [{MIN_DT:g}, {MAX_DT:g}], got {self.dt}")
+        if self.dt < 1 / MAX_MAGNITUDE:
+            raise ValueError(f"dt must be at least {1 / MAX_MAGNITUDE:g}, got {self.dt}")
         if not 0 < self.smoothing_sigma <= self.smoothing_support:
             raise ValueError("smoothing_sigma must be positive and at most smoothing_support")
         if not 1 <= self.smoothing_support / self.dt <= MAX_SMOOTHING_STEPS:
@@ -72,10 +75,8 @@ class ModelParams:
                 f"smoothing_support must cover 1 to {MAX_SMOOTHING_STEPS} steps of dt, "
                 f"got {self.smoothing_support / self.dt:g}"
             )
-        if not 0 < self.cap_threshold <= MAX_NOISE_HALFWIDTH:
-            raise ValueError(
-                f"cap_threshold must lie in (0, {MAX_NOISE_HALFWIDTH:g}], got {self.cap_threshold!r}"
-            )
+        if self.cap_threshold <= 0:
+            raise ValueError(f"cap_threshold must be positive, got {self.cap_threshold!r}")
         if abs(self.sample_rate * self.dt - 1.0) > 1e-9:
             raise ValueError(
                 f"sample_rate ({self.sample_rate} Hz) and dt ({self.dt} s) disagree"
@@ -207,12 +208,18 @@ def as_generator(seed: SeedLike) -> np.random.Generator:
 
 
 def check_seed(seed) -> None:
-    """Refuse a negative integer seed, which SeedSequence cannot take."""
-    if isinstance(seed, numbers.Integral) and seed < 0:
-        raise ArgumentUsageError(f"seed must be non-negative, got {seed}")
+    """Refuse anything but a non-negative integer, a SeedSequence or None."""
+    if not (
+        seed is None
+        or isinstance(seed, np.random.SeedSequence)
+        or (isinstance(seed, numbers.Integral) and seed >= 0)
+    ):
+        raise ArgumentUsageError(
+            f"seed must be non-negative, got {seed!r}; a seed is an integer, a SeedSequence or None"
+        )
 
 
-def seed_children(seed, n: int) -> list[np.random.SeedSequence]:
+def seed_children(seed: MasterSeed, n: int) -> list[np.random.SeedSequence]:
     """Derive n independent child seeds from a master seed."""
     check_seed(seed)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -14,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import OffsetSeries, RunConfig, seed_children
+from .core import MasterSeed, OffsetSeries, RunConfig, check_seed, seed_children
 from .errors import ArgumentUsageError, EvaluationError, MetricError
-from .generator import TwoLevelModel, coarse_profile, generate_profile
+from .generator import MAX_PROFILE_STEPS, TwoLevelModel, coarse_profile, generate_profile
 from .markov import discretize
 from .noise import generate_noise, measured_coarse
 from .preprocessing import Segment
@@ -102,12 +103,14 @@ def compute_metrics(values) -> np.ndarray:
 
 def window_steps(duration: float, dt: float) -> int:
     """Samples per snippet window; the duration must be a whole multiple
-    of dt covering at least the two samples the metrics need."""
+    of dt covering from the two samples the metrics need up to the
+    longest profile generate_profile builds for the artificial side."""
     steps = duration / dt
     w = round(steps) if math.isfinite(steps) else 0
-    if w < 2 or abs(steps - w) > 1e-6:
+    if not 2 <= w <= MAX_PROFILE_STEPS or abs(steps - w) > 1e-6:
         raise ArgumentUsageError(
-            f"snippet duration {duration} is not a multiple of dt {dt} covering at least 2 steps"
+            f"snippet duration {duration} is not a multiple of dt {dt} "
+            f"covering 2 to {MAX_PROFILE_STEPS} steps"
         )
     return w
 
@@ -281,7 +284,7 @@ def run_mode(
     mode: EvalMode,
     real_segments: Sequence[Segment],
     model: TwoLevelModel,
-    rng_seed: int | None = 0,
+    rng_seed: MasterSeed = 0,
     *,
     snippet_duration: float | None = None,
 ) -> EvaluationReport:
@@ -294,7 +297,7 @@ def evaluate(
     modes: Sequence[EvalMode],
     real_segments: Sequence[Segment],
     model: TwoLevelModel,
-    rng_seed: int | None = 0,
+    rng_seed: MasterSeed = 0,
     *,
     snippet_duration: float | None = None,
 ) -> list[EvaluationReport]:
@@ -308,10 +311,12 @@ def evaluate(
     snippet is spawned from rng_seed once, and every mode draws snippet i
     from child i, so reports repeat exactly under the same seed. With an
     int seed each mode gets the children it would get alone; with None the
-    modes share one entropy draw.
+    modes share one entropy draw. The reports record an int seed, and null
+    for None or a SeedSequence.
     """
     modes = list(modes)
     _refuse_repeated(modes)
+    check_seed(rng_seed)
     params = model.params
     duration = params.snippet_duration if snippet_duration is None else snippet_duration
     w = window_steps(duration, params.dt)
@@ -330,7 +335,7 @@ def evaluate(
     real, drift, capped = (np.concatenate(parts) for parts in zip(*blocks))
     real_rows = compute_metrics(real)
     real_population = Population(real_rows)
-    seed = None if rng_seed is None else int(rng_seed)
+    seed = int(rng_seed) if isinstance(rng_seed, numbers.Integral) else None
     children = seed_children(rng_seed, real.shape[0])
 
     reports = []

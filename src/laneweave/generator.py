@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ModelParams, OffsetSeries, SeedLike, seed_children
+from .core import MasterSeed, ModelParams, OffsetSeries, SeedLike, seed_children
 from .errors import ArgumentUsageError, LaneweaveError, ModelFormatError
 from .markov import CoarseModel, discretize, sample_chain, smooth_values, state_centers
 from .noise import FineModel, generate_noise
@@ -43,7 +43,7 @@ class TwoLevelModel:
             raise ValueError("coarse model and params disagree on dt")
 
 
-def derive_streams(seed: SeedLike) -> tuple[np.random.Generator, np.random.Generator]:
+def derive_streams(seed: MasterSeed) -> tuple[np.random.Generator, np.random.Generator]:
     """Split a master seed into independent (coarse, fine) streams.
 
     The split never consumes coarse draws, so regenerating with the same
@@ -61,7 +61,7 @@ def coarse_profile(model: TwoLevelModel, initial_state: int, n_steps: int, rng: 
 
 
 def generate_profile(
-    model: TwoLevelModel, initial_offset: float, duration: float, seed: SeedLike
+    model: TwoLevelModel, initial_offset: float, duration: float, seed: MasterSeed
 ) -> OffsetSeries:
     """Full artificial offset profile: drift plus independent jitter.
 
@@ -175,7 +175,7 @@ def model_from_dict(doc: dict) -> TwoLevelModel:
         params = ModelParams(**{name: raw_params[name] for name in _PARAM_FILE_FIELDS})
     except KeyError as exc:
         raise ModelFormatError(f"params section is missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"invalid params: {exc}") from None
 
     raw_coarse = _require(doc, "coarse")

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MAX_NOISE_HALFWIDTH, ModelParams, OffsetSeries, RunConfig, SeedLike, as_generator
+from .core import MAX_MAGNITUDE, ModelParams, OffsetSeries, RunConfig, SeedLike, as_generator
 from .errors import CalibrationError
 from .markov import discretize, gaussian_kernel, smooth_values, state_centers
 
@@ -36,32 +36,29 @@ class FineModel:
             raise ValueError("kernel taps must be a non-empty 1-D array")
         if taps.size > MAX_KERNEL_TAPS:
             raise ValueError(f"{taps.size} kernel taps exceed the limit of {MAX_KERNEL_TAPS}")
-        if not np.all(np.isfinite(taps)):
-            raise ValueError("kernel taps must be finite")
-        if not 0 < self.noise_halfwidth <= MAX_NOISE_HALFWIDTH:
+        if not np.all(np.abs(taps) <= MAX_MAGNITUDE):
+            raise ValueError(f"kernel taps must have magnitude at most {MAX_MAGNITUDE:g}")
+        if not 0 < self.noise_halfwidth <= MAX_MAGNITUDE:
             raise ValueError(
-                f"noise_halfwidth must lie in (0, {MAX_NOISE_HALFWIDTH:g}], got {self.noise_halfwidth!r}"
+                f"noise_halfwidth must lie in (0, {MAX_MAGNITUDE:g}], got {self.noise_halfwidth!r}"
             )
         object.__setattr__(self, "kernel_taps", taps)
-        if not math.isfinite(self.output_bound):
+        if self.output_bound > MAX_MAGNITUDE:
             raise ValueError(
-                f"noise_halfwidth {self.noise_halfwidth!r} times the taps' L1 norm is not finite"
+                f"noise_halfwidth {self.noise_halfwidth!r} times the taps' L1 norm "
+                f"exceeds {MAX_MAGNITUDE:g}"
             )
 
     @property
     def output_bound(self) -> float:
         """Worst-case |output|: halfwidth times the taps' L1 norm."""
-        with np.errstate(over="ignore"):
-            return self.noise_halfwidth * float(np.abs(self.kernel_taps).sum())
+        return self.noise_halfwidth * float(np.abs(self.kernel_taps).sum())
 
 
 @dataclass(frozen=True, eq=False)
 class SpectrumFit:
     """Diagnostics of the spectral fit behind a FineModel."""
 
-    frequencies: np.ndarray
-    measured_magnitude: np.ndarray
-    noise_floor_c: float
     knot_frequencies: np.ndarray
     knot_values: np.ndarray
     window_count: int
@@ -78,10 +75,6 @@ class SpectrumFit:
             raise ValueError("knot values must be nonnegative")
         object.__setattr__(self, "knot_frequencies", kf)
         object.__setattr__(self, "knot_values", kv)
-
-    def damping_at(self, frequencies) -> np.ndarray:
-        """Piecewise-linear gain evaluated at the given frequencies."""
-        return np.interp(frequencies, self.knot_frequencies, self.knot_values)
 
 
 def measured_coarse(x: np.ndarray, params: ModelParams) -> OffsetSeries:
@@ -201,8 +194,7 @@ def fit_kernel(
     freqs, measured, n_windows = average_magnitude_spectrum(
         seg_values, window_length, dt=params.dt
     )
-    floor = uniform_noise_floor(params.cap_threshold, window_length)
-    ratio = measured / floor
+    ratio = measured / uniform_noise_floor(params.cap_threshold, window_length)
     knot_freqs = np.linspace(0.0, params.sample_rate / 2.0, knot_count)
     basis = _hat_basis(freqs, knot_freqs)
     solution, *_ = np.linalg.lstsq(basis, ratio, rcond=None)
@@ -211,15 +203,7 @@ def fit_kernel(
     residual = float(np.linalg.norm(basis @ knot_values - ratio) / scale) if scale > 0 else 0.0
     taps = kernel_from_damping(knot_freqs, knot_values, params.dt)
     fine = FineModel(kernel_taps=taps, noise_halfwidth=params.cap_threshold)
-    fit = SpectrumFit(
-        frequencies=freqs,
-        measured_magnitude=measured,
-        noise_floor_c=floor,
-        knot_frequencies=knot_freqs,
-        knot_values=knot_values,
-        window_count=n_windows,
-        residual=residual,
-    )
+    fit = SpectrumFit(knot_freqs, knot_values, window_count=n_windows, residual=residual)
     return fine, fit
 
 

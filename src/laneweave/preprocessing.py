@@ -17,14 +17,14 @@ MAX_GRID_POINTS = 10_000_000
 
 @dataclass(frozen=True, eq=False)
 class ResampledTrack:
-    """Offset and velocity on the uniform model grid; NaN where invalid."""
+    """Offset and velocity on the uniform model grid; the offset is NaN
+    exactly where the grid point is invalid."""
 
     start_t: float
     dt: float
     offsets: np.ndarray
     velocity: np.ndarray
     lane_ids: np.ndarray
-    valid: np.ndarray
     source_tour: str = ""
 
     def __len__(self) -> int:
@@ -80,18 +80,12 @@ def resample(log: DriveLog, target_rate: float) -> ResampledTrack:
         blended = (1.0 - weight) * column[left] + weight * column[left + 1]
         return np.where(on_left, column[left], np.where(on_right, column[left + 1], blended))
 
-    valid = np.where(
-        on_left,
-        valid_src[left],
-        np.where(on_right, valid_src[left + 1], valid_src[left] & valid_src[left + 1]),
-    )
     return ResampledTrack(
         start_t=float(t[0]),
         dt=1.0 / target_rate,
         offsets=lerp(offsets_src),
         velocity=lerp(log.v_lon),
         lane_ids=log.lane_id[left],
-        valid=valid.astype(bool),
         source_tour=log.tour_id,
     )
 
@@ -116,7 +110,7 @@ def extract_segments(
         raise ValueError("track rate does not match params.sample_rate")
     n = track.offsets.size
     with np.errstate(invalid="ignore"):
-        keep = track.valid & (track.velocity >= params.v_min)
+        keep = np.isfinite(track.offsets) & (track.velocity >= params.v_min)
         jump = np.abs(np.diff(track.offsets)) > jump_threshold
     lane = track.lane_ids
     lane_switch = np.isfinite(lane[:-1]) & np.isfinite(lane[1:]) & (lane[:-1] != lane[1:])

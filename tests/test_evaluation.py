@@ -293,6 +293,19 @@ class TestRunMode:
             evaluate([EvalMode.COARSE_ONLY] * 2, gentle_segments, gentle_model, 0)
         assert parse_modes("shift,full") == [EvalMode.SHIFT_TEST, EvalMode.FULL]
 
+    def test_seed_sequence_gives_the_rows_of_its_int(self, gentle_model, gentle_segments):
+        by_int = evaluate(list(EvalMode), gentle_segments, gentle_model, 3)
+        by_sequence = evaluate(list(EvalMode), gentle_segments, gentle_model, np.random.SeedSequence(3))
+        for a, b in zip(by_int, by_sequence):
+            assert np.array_equal(a.artificial, b.artificial)
+            assert (a.seed, b.seed) == (3, None)
+
+    @pytest.mark.parametrize("seed", [np.random.default_rng(3), -1, 2.0])
+    def test_unusable_seed_is_refused_before_the_segments(self, reference_model, seed):
+        # these segments give no snippets, which would be an EvaluationError
+        with pytest.raises(ArgumentUsageError, match="seed"):
+            evaluate(list(EvalMode), [segment(np.zeros(10))], reference_model, seed)
+
     def test_seeded_repeatability(self, gentle_model, gentle_segments):
         a = run_mode(EvalMode.FULL, gentle_segments, gentle_model, 7)
         b = run_mode(EvalMode.FULL, gentle_segments, gentle_model, 7)

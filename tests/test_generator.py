@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from laneweave.core import ModelParams
-from laneweave.errors import ModelFormatError
+from laneweave.errors import ArgumentUsageError, ModelFormatError
 from laneweave.generator import (
     TwoLevelModel,
     atomic_write_text,
@@ -43,6 +43,10 @@ class TestGenerateProfile:
         a = generate_profile(reference_model, 0.1, 60.0, 77).values
         b = generate_profile(reference_model, 0.1, 60.0, 77).values
         assert np.array_equal(a, b)
+
+    def test_generator_seed_is_refused(self, reference_model):
+        with pytest.raises(ArgumentUsageError, match="seed"):
+            generate_profile(reference_model, 0.0, 10.0, np.random.default_rng(77))
 
     def test_jitter_independent_of_transition_matrix(self, reference_model):
         # Same seed, different chain: the jitter component must not move.

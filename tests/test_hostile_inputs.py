@@ -8,6 +8,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -19,20 +21,12 @@ from hypothesis import given, settings, strategies as st
 
 import laneweave
 from laneweave.cli import EXIT_ARGUMENT, EXIT_CALIBRATION, EXIT_OK, EXIT_SCHEMA, build_parser, main
-from laneweave.core import (
-    MAX_DT,
-    MAX_N_C,
-    MAX_NOISE_HALFWIDTH,
-    MAX_SMOOTHING_STEPS,
-    MIN_DT,
-    SIGMA_FLOOR_STEPS,
-    ModelParams,
-    RunConfig,
-)
+from laneweave.core import MAX_MAGNITUDE, MAX_N_C, MAX_SMOOTHING_STEPS, SIGMA_FLOOR_STEPS, ModelParams, RunConfig
 from laneweave.errors import ModelFormatError
 from laneweave.generator import generate_profile, load_model
 from laneweave.markov import gaussian_kernel
 from laneweave.noise import MAX_KERNEL_TAPS, FineModel
+from laneweave.pipeline import calibrate_from_segments, ingest_segments
 
 # address-space cap of the subprocess that runs the oversized requests:
 # a request that slips past its bound fails with MemoryError, not by
@@ -90,6 +84,10 @@ def files(tmp_path_factory):
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
         return path
 
+    # taps of L1 norm 2 under a halfwidth that puts the output bound just
+    # under, or just over, MAX_MAGNITUDE
+    taps = np.array(good["fine"]["kernel_taps"])
+    taps = (taps * (2 / np.abs(taps).sum())).tolist()
     header = "t,dist_left,dist_right,v_lon\n"
     (root / "a_directory").mkdir()
     return {
@@ -126,6 +124,8 @@ def files(tmp_path_factory):
             model_variant("output_bound", "fine", noise_halfwidth=1e300, kernel_taps=[1e10] * 3),
             model_variant("noise_range", "fine", noise_halfwidth=1e308, kernel_taps=[1.0]),
             model_variant("cap_threshold", "params", cap_threshold=1e308),
+            model_variant("bound_under", "fine", kernel_taps=taps, noise_halfwidth=MAX_MAGNITUDE / 2 * (1 - 1e-9)),
+            model_variant("bound_over", "fine", kernel_taps=taps, noise_halfwidth=MAX_MAGNITUDE / 2 * (1 + 1e-9)),
             # consistent steps too short or too long for the smoothing kernel
             model_variant("tiny_dt", "params", dt=1e-200, sample_rate=1e200,
                           smoothing_sigma=1e-200, smoothing_support=1e-200),
@@ -222,6 +222,8 @@ MALFORMED = [
                                      "--duration", "10"], 3),
     ("model_noise_range_overflow", ["generate", "--model", "{root}/model_noise_range.json", "--x0", "0",
                                     "--duration", "10"], 3),
+    ("model_output_bound_over", ["evaluate", "--model", "{root}/model_bound_over.json", "--input",
+                                 "{root}/tour.csv"], 3),
     ("model_tiny_dt", ["generate", "--model", "{root}/model_tiny_dt.json", "--x0", "0", "--duration", "2e-199"], 3),
     ("model_huge_dt", ["generate", "--model", "{root}/model_huge_dt.json", "--x0", "0", "--duration", "2e201"], 3),
     ("model_halfwidth_text", ["generate", "--model", "{root}/model_halfwidth_text.json", "--x0", "0",
@@ -234,12 +236,15 @@ MALFORMED = [
     ("model_cap_threshold_huge", ["generate", "--model", "{root}/model_cap_threshold.json", "--x0", "0",
                                   "--duration", "10"], 3),
     ("calibrate_cap_threshold_huge", ["calibrate", "--input", "{root}/tour.csv", "--cap-threshold", "1e308"], 2),
+    ("calibrate_cap_threshold_past_bound", ["calibrate", "--input", "{root}/tour.csv", "--cap-threshold", "4e307"], 2),
     ("config_deeply_nested", ["calibrate", "--input", "{root}/tour.csv", "--config", "{root}/config_deep.json"], 3),
     ("config_not_utf8", ["calibrate", "--input", "{root}/tour.csv", "--config", "{root}/config_binary.json"], 3),
     ("config_zero_sigma", ["calibrate", "--input", "{root}/tour.csv", "--smoothing-sigma", "0"], 2),
     ("negative_seed", ["generate", "--model", "{root}/model.json", "--x0", "0", "--duration", "10", "--seed", "-1"], 2),
     ("snippet_duration_overflow", ["evaluate", "--model", "{root}/model.json", "--input", "{root}/tour.csv",
                                    "--snippet-duration", "1e308"], 2),
+    ("snippet_duration_past_profile_steps", ["evaluate", "--model", "{root}/model.json", "--input",
+                                             "{root}/tour.csv", "--snippet-duration", "1e20"], 2),
     ("lane_width_inf", ["synth", "--lane-width", "inf"], 2),
     # an output path onto a directory, or under a file
     ("generate_out_directory", ["generate", "--model", "{root}/model.json", "--x0", "0", "--duration", "10",
@@ -287,29 +292,37 @@ class TestBoundsAreChecked:
             ModelParams(smoothing_sigma=0.1, smoothing_support=0.1)
 
     def test_dt(self):
-        for dt in (MIN_DT, MAX_DT):
+        for dt in (1 / MAX_MAGNITUDE, MAX_MAGNITUDE):
             assert ModelParams(dt=dt, sample_rate=1 / dt, smoothing_sigma=dt, smoothing_support=dt).dt == dt
-        for dt in (MIN_DT / 2, MAX_DT * 2):
-            with pytest.raises(ValueError, match="dt"):
+        # below the bound the matching sample_rate is past it, and is refused first
+        for dt in (1 / MAX_MAGNITUDE / 2, MAX_MAGNITUDE * 2):
+            with pytest.raises(ValueError, match="dt|sample_rate"):
                 ModelParams(dt=dt, sample_rate=1 / dt, smoothing_sigma=dt, smoothing_support=dt)
 
     def test_dt_range_keeps_the_smoothing_kernel_normal(self):
         # the smallest floored sigma squares to a normal float, and the
         # widest kernel's largest offset squares to a finite one
-        assert (MIN_DT * SIGMA_FLOOR_STEPS) ** 2 >= sys.float_info.min
-        assert (MAX_SMOOTHING_STEPS * MAX_DT) ** 2 < sys.float_info.max
-        for dt in (MIN_DT, MAX_DT):
+        assert (SIGMA_FLOOR_STEPS / MAX_MAGNITUDE) ** 2 >= sys.float_info.min
+        assert (MAX_SMOOTHING_STEPS * MAX_MAGNITUDE) ** 2 < sys.float_info.max
+        for dt in (1 / MAX_MAGNITUDE, MAX_MAGNITUDE):
             taps = gaussian_kernel(dt * SIGMA_FLOOR_STEPS, MAX_SMOOTHING_STEPS * dt, dt)
             assert np.all(np.isfinite(taps)) and taps[MAX_SMOOTHING_STEPS] == 1.0
 
     def test_noise_halfwidth(self):
-        assert ModelParams(cap_threshold=MAX_NOISE_HALFWIDTH).cap_threshold == MAX_NOISE_HALFWIDTH
-        assert FineModel(np.zeros(1), MAX_NOISE_HALFWIDTH).noise_halfwidth == MAX_NOISE_HALFWIDTH
-        too_wide = np.nextafter(MAX_NOISE_HALFWIDTH, np.inf)
+        assert ModelParams(cap_threshold=MAX_MAGNITUDE).cap_threshold == MAX_MAGNITUDE
+        assert FineModel(np.zeros(1), MAX_MAGNITUDE).noise_halfwidth == MAX_MAGNITUDE
+        too_wide = np.nextafter(MAX_MAGNITUDE, np.inf)
         with pytest.raises(ValueError, match="cap_threshold"):
             ModelParams(cap_threshold=too_wide)
         with pytest.raises(ValueError, match="noise_halfwidth"):
             FineModel(np.zeros(1), too_wide)
+
+    def test_output_bound(self):
+        assert FineModel(np.ones(1), MAX_MAGNITUDE).output_bound == MAX_MAGNITUDE
+        with pytest.raises(ValueError, match="kernel taps"):
+            FineModel(np.array([np.nextafter(MAX_MAGNITUDE, np.inf)]), 1.0)
+        with pytest.raises(ValueError, match="L1 norm"):
+            FineModel(np.ones(2), MAX_MAGNITUDE)
 
     def test_kernel_taps(self):
         assert FineModel(np.zeros(MAX_KERNEL_TAPS), 0.03).kernel_taps.size == MAX_KERNEL_TAPS
@@ -322,10 +335,11 @@ class TestBoundsAreChecked:
             RunConfig(window_length=10, knot_count=7)
 
 
-# The large values lie far past every bound, so that a request slipping
-# through one fails at once instead of allocating for real; requests
-# near the bounds run in the capped subprocess above.
-FLOATS = ["0", "-1", "0.5", "2", "nan", "inf", "-inf", "1e-300", "1e15", "1e308", "abc", ""]
+# The large values lie far past every size bound, so that a request
+# slipping through one fails at once instead of allocating for real;
+# requests near those bounds run in the capped subprocess above. 1e150
+# and 2e150 lie on either side of MAX_MAGNITUDE.
+FLOATS = ["0", "-1", "0.5", "2", "nan", "inf", "-inf", "1e-300", "1e15", "1e150", "2e150", "1e308", "abc", ""]
 INTS = ["-1", "0", "1", "3", "1000000000000", "1.5", "abc"]
 
 
@@ -382,13 +396,44 @@ def command_lines(draw, files):
     return argv
 
 
+# a number written as NaN or an infinity: json.dumps words them NaN and
+# Infinity, repr nan and inf
+NONFINITE = re.compile(r"\b(NaN|Infinity|nan|inf)\b")
+
+
+def _nonfinite_files(directory: Path) -> list[Path]:
+    """The files under directory that hold a NaN or infinite number."""
+    return [path for path in directory.rglob("*") if path.is_file() and NONFINITE.search(path.read_text())]
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_main_maps_every_bad_input_to_its_exit_code(files, data):
     argv = data.draw(command_lines(files))
+    out = files["root"] / "out"
+    shutil.rmtree(out, ignore_errors=True)
     code, stderr = _run(argv)
     assert code in (EXIT_OK, EXIT_ARGUMENT, EXIT_SCHEMA, EXIT_CALIBRATION), stderr
     assert "Traceback" not in stderr
+    if code == EXIT_OK:
+        assert not _nonfinite_files(out)
+
+
+def test_output_bound_at_the_limit_gives_finite_files(files):
+    root = files["root"]
+    model, out = str(root / "model_bound_under.json"), root / "out_bound_under"
+    profile = ["generate", "--model", model, "--x0", "0", "--duration", "60", "--out", str(out / "profile.csv")]
+    assert _run(profile)[0] == EXIT_OK
+    report = ["evaluate", "--model", model, "--input", str(files["tour"]), "--modes", "fine,full", "--out", str(out)]
+    assert _run(report)[0] == EXIT_OK
+    assert len(list(out.iterdir())) == 5 and not _nonfinite_files(out)
+
+
+def test_cap_threshold_at_the_limit_gives_a_kernel(files):
+    config = RunConfig(cap_threshold=MAX_MAGNITUDE)
+    model, summary = calibrate_from_segments(ingest_segments([files["tour"]], config), config, {})
+    assert np.isfinite(summary["fit_residual"]) and 0 < summary["fit_residual"] < 1
+    assert np.any(model.fine.kernel_taps != 0)
 
 
 # json.loads reads NaN, Infinity and integers of any size; the edge

@@ -210,7 +210,9 @@ class TestGenerateNoise:
             acc += mag * count
             total += count
         measured = acc / total
-        target = fit.noise_floor_c * fit.damping_at(freqs)
+        target = uniform_noise_floor(params.cap_threshold, 256) * np.interp(
+            freqs, fit.knot_frequencies, fit.knot_values
+        )
         rel = np.linalg.norm(measured - target) / np.linalg.norm(target)
         assert rel <= 0.10
 

@@ -78,7 +78,7 @@ class TestResample:
         )
         track = resample(log, 5.0)
         # grid 0.0 valid (exact hit), 0.2 and 0.4 straddle/touch the bad sample
-        assert track.valid.tolist() == [True, False, False, True]
+        assert np.isfinite(track.offsets).tolist() == [True, False, False, True]
         assert not np.isnan(track.offsets[0])
 
     def test_idempotent_on_target_grid(self):
