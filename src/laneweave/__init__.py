@@ -35,7 +35,6 @@ from .generator import (
 from .markov import (
     CoarseModel,
     discretize,
-    estimate_transitions,
     gaussian_kernel,
     sample_chain,
     state_centers,
@@ -70,7 +69,6 @@ __all__ = [
     "cap",
     "compute_metrics",
     "discretize",
-    "estimate_transitions",
     "evaluate",
     "extract_fine",
     "extract_segments",

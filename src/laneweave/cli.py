@@ -34,7 +34,7 @@ from .pipeline import (
     ingest_segments,
     read_drive_log_csv,  # noqa: F401  perfbench traces the tour reader through this name
 )
-from .synthetic import SyntheticSpec, make_model, simulate_drive_log
+from .synthetic import KERNEL_FAMILIES, TRANSITION_FAMILIES, SyntheticSpec, make_model, simulate_drive_log
 
 EXIT_OK = 0
 EXIT_ARGUMENT = 2
@@ -217,9 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="simulate a tour CSV from a ground-truth model")
-    p.add_argument("--family", default="banded", choices=("banded", "uniform", "identity"))
+    p.add_argument("--family", default="banded", choices=TRANSITION_FAMILIES)
     p.add_argument("--p", type=float, default=0.9, help="banded stay probability")
-    p.add_argument("--kernel", default="reference", choices=("reference", "zero", "identity"))
+    p.add_argument("--kernel", default="reference", choices=KERNEL_FAMILIES)
     p.add_argument("--minutes", type=float, default=50.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lane-width", dest="lane_width", type=float, default=3.6)

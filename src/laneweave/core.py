@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ArgumentUsageError, InvalidSampleError
 
-SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
 # a seed that seed_children splits; check_seed refuses any other
 MasterSeed = Union[int, np.random.SeedSequence, None]
 
@@ -32,6 +31,18 @@ SIGMA_FLOOR_STEPS = 1 / 64
 # stays finite, and with dt >= 1 / MAX_MAGNITUDE the floored sigma squares
 # to a normal float. So no kernel, spectral floor or metric overflows.
 MAX_MAGNITUDE = 1e150
+
+
+def within_magnitude(value) -> bool:
+    """True for a real number, not a bool, of magnitude at most MAX_MAGNITUDE.
+    A rational (an int included) is compared exactly, so 10**400 raises no
+    OverflowError; any other real as a float64, so a float32 cannot cast
+    the bound to float32 infinity."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    if not isinstance(value, numbers.Rational):
+        value = float(value)
+    return abs(value) <= MAX_MAGNITUDE
 
 
 @dataclass(frozen=True)
@@ -58,9 +69,7 @@ class ModelParams:
             if isinstance(f.default, int):
                 if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                     raise TypeError(f"{f.name} must be an integer, got {value!r}")
-            elif isinstance(value, bool) or not (
-                isinstance(value, numbers.Real) and abs(value) <= MAX_MAGNITUDE
-            ):
+            elif not within_magnitude(value):
                 raise ValueError(
                     f"{f.name} must be a number of magnitude at most {MAX_MAGNITUDE:g}, got {value!r}"
                 )
@@ -128,10 +137,6 @@ class OffsetSeries:
     def __len__(self) -> int:
         return self.values.size
 
-    @property
-    def duration(self) -> float:
-        return self.values.size * self.dt
-
     def times(self) -> np.ndarray:
         return np.arange(self.values.size) * self.dt
 
@@ -198,13 +203,6 @@ def relative_offset(dist_left, dist_right):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def as_generator(seed: SeedLike) -> np.random.Generator:
-    """Normalize an int, SeedSequence, Generator, or None to a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def check_seed(seed) -> None:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MasterSeed, ModelParams, OffsetSeries, SeedLike, seed_children
+from .core import MasterSeed, ModelParams, OffsetSeries, seed_children
 from .errors import ArgumentUsageError, LaneweaveError, ModelFormatError
 from .markov import CoarseModel, discretize, sample_chain, smooth_values, state_centers
 from .noise import FineModel, generate_noise
@@ -54,7 +54,9 @@ def derive_streams(seed: MasterSeed) -> tuple[np.random.Generator, np.random.Gen
     return np.random.default_rng(coarse_seed), np.random.default_rng(fine_seed)
 
 
-def coarse_profile(model: TwoLevelModel, initial_state: int, n_steps: int, rng: SeedLike) -> np.ndarray:
+def coarse_profile(
+    model: TwoLevelModel, initial_state: int, n_steps: int, rng: np.random.Generator
+) -> np.ndarray:
     """Smoothed drift track from a fresh chain sample."""
     states = sample_chain(model.coarse, initial_state, n_steps, rng)
     return smooth_values(model.coarse.state_centers[states], model.coarse.smoothing_taps)

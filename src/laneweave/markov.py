@@ -11,7 +11,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SIGMA_FLOOR_STEPS, SeedLike, as_generator
+from .core import SIGMA_FLOOR_STEPS
 from .errors import CalibrationError
 
 ROW_SUM_TOL = 1e-9
@@ -103,10 +103,6 @@ def transitions_from_counts(counts: np.ndarray) -> np.ndarray:
     return transition
 
 
-def estimate_transitions(state_segments: Iterable[np.ndarray], n_c: int) -> np.ndarray:
-    return transitions_from_counts(count_transitions(state_segments, n_c))
-
-
 @dataclass(frozen=True, eq=False)
 class CoarseModel:
     """Calibrated drift model: bin transition matrix plus smoothing setup."""
@@ -148,19 +144,21 @@ class CoarseModel:
         return np.cumsum(self.transition, axis=1).tolist()
 
 
-def sample_chain(model: CoarseModel, initial_state: int, n_steps: int, rng: SeedLike) -> np.ndarray:
+def sample_chain(
+    model: CoarseModel, initial_state: int, n_steps: int, rng: np.random.Generator
+) -> np.ndarray:
     """Sample a state-index path of n_steps starting at initial_state.
 
     One uniform per step is drawn vectorized from the generator; each
     step moves to the first state whose cumulative probability exceeds
     its uniform, clamped to the last state when a row sums short of 1.
-    Paths repeat bit for bit under the same seed.
+    Paths repeat bit for bit from generators in the same state.
     """
     if not 0 <= initial_state < model.n_c:
         raise ValueError(f"initial state {initial_state} outside [0, {model.n_c})")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    uniforms = as_generator(rng).random(n_steps - 1)
+    uniforms = rng.random(n_steps - 1)
     rows = model._cumulative_rows
     last = model.n_c - 1
     state = int(initial_state)

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MAX_MAGNITUDE, ModelParams, OffsetSeries, RunConfig, SeedLike, as_generator
+from .core import MAX_MAGNITUDE, ModelParams, OffsetSeries, RunConfig, within_magnitude
 from .errors import CalibrationError
 from .markov import discretize, gaussian_kernel, smooth_values, state_centers
 
@@ -38,11 +38,12 @@ class FineModel:
             raise ValueError(f"{taps.size} kernel taps exceed the limit of {MAX_KERNEL_TAPS}")
         if not np.all(np.abs(taps) <= MAX_MAGNITUDE):
             raise ValueError(f"kernel taps must have magnitude at most {MAX_MAGNITUDE:g}")
-        if not 0 < self.noise_halfwidth <= MAX_MAGNITUDE:
+        if not (within_magnitude(self.noise_halfwidth) and self.noise_halfwidth > 0):
             raise ValueError(
                 f"noise_halfwidth must lie in (0, {MAX_MAGNITUDE:g}], got {self.noise_halfwidth!r}"
             )
         object.__setattr__(self, "kernel_taps", taps)
+        object.__setattr__(self, "noise_halfwidth", float(self.noise_halfwidth))
         if self.output_bound > MAX_MAGNITUDE:
             raise ValueError(
                 f"noise_halfwidth {self.noise_halfwidth!r} times the taps' L1 norm "
@@ -207,15 +208,14 @@ def fit_kernel(
     return fine, fit
 
 
-def generate_noise(model: FineModel, n_steps: int, rng: SeedLike) -> np.ndarray:
+def generate_noise(model: FineModel, n_steps: int, rng: np.random.Generator) -> np.ndarray:
     """Shaped noise: uniform draws on [-r, +r] convolved with the taps.
 
     A kernel-length warm-up prefix is drawn so the output is stationary
-    from step 0; the same seed always yields the same values.
+    from step 0; generators in the same state always yield the same values.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    gen = as_generator(rng)
     taps = model.kernel_taps
-    drive = gen.uniform(-model.noise_halfwidth, model.noise_halfwidth, n_steps + taps.size - 1)
+    drive = rng.uniform(-model.noise_halfwidth, model.noise_halfwidth, n_steps + taps.size - 1)
     return np.convolve(drive, taps, mode="valid")

@@ -43,10 +43,7 @@ def read_drive_log_csv(path) -> DriveLog:
     if not lines:
         raise SchemaError(f"{path}: empty file, expected a header row")
     header = tuple(cell.strip() for cell in lines[0].split(","))
-    if header[: len(CSV_COLUMNS)] != CSV_COLUMNS or header not in (
-        CSV_COLUMNS,
-        CSV_COLUMNS + ("lane_id",),
-    ):
+    if header not in (CSV_COLUMNS, CSV_COLUMNS + ("lane_id",)):
         raise SchemaError(
             f"{path}: header must be {','.join(CSV_COLUMNS)}[,lane_id], got {','.join(header)}"
         )

@@ -9,17 +9,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DriveLog, ModelParams
+from .core import DriveLog, MasterSeed, ModelParams
 from .errors import ArgumentUsageError, SyntheticSpecError
 from .generator import TwoLevelModel, generate_profile
 from .markov import CoarseModel
 from .noise import FineModel, kernel_from_damping
 
-TRANSITION_FAMILIES = ("banded", "identity", "uniform", "explicit")
-KERNEL_FAMILIES = ("reference", "zero", "identity", "given")
+# in the order synth --help lists them
+TRANSITION_FAMILIES = ("banded", "uniform", "identity")
+KERNEL_FAMILIES = ("reference", "zero", "identity")
 
-# Flat-then-decaying gain over [0, Nyquist]; the stock nontrivial jitter
-# spectrum used when no explicit taps are supplied.
+# Flat-then-decaying gain over [0, Nyquist]: the jitter spectrum of the
+# reference kernel family.
 REFERENCE_DAMPING = (1.0, 1.0, 0.8, 0.5, 0.3, 0.2)
 
 
@@ -31,17 +32,13 @@ class SyntheticSpec:
     dt: float = ModelParams.dt
     family: str = "banded"
     stay_probability: float = 0.9
-    transition: np.ndarray | None = None
     kernel: str = "reference"
-    kernel_taps: np.ndarray | None = None
     seed: int = 0
 
 
 def banded_transition(n_c: int, stay_probability: float) -> np.ndarray:
     """Random-walk rows: stay with probability p, split the rest between
     the two neighbors; at the edges the off-grid share reflects inward."""
-    if not 0.0 <= stay_probability <= 1.0:
-        raise SyntheticSpecError(f"stay probability {stay_probability!r} outside [0, 1]")
     move = 1.0 - stay_probability
     transition = np.zeros((n_c, n_c))
     for i in range(n_c):
@@ -64,6 +61,9 @@ def make_model(spec: SyntheticSpec) -> TwoLevelModel:
         params = ModelParams(n_c=spec.n_c, dt=spec.dt, sample_rate=1.0 / spec.dt)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SyntheticSpecError(f"invalid model parameters: {exc}") from None
+    # checked for every family: each writes it into the model's metadata
+    if not 0.0 <= spec.stay_probability <= 1.0:
+        raise SyntheticSpecError(f"stay probability {spec.stay_probability!r} outside [0, 1]")
 
     if spec.family == "banded":
         transition = banded_transition(spec.n_c, spec.stay_probability)
@@ -71,10 +71,6 @@ def make_model(spec: SyntheticSpec) -> TwoLevelModel:
         transition = np.eye(spec.n_c)
     elif spec.family == "uniform":
         transition = np.full((spec.n_c, spec.n_c), 1.0 / spec.n_c)
-    elif spec.family == "explicit":
-        if spec.transition is None:
-            raise SyntheticSpecError("family 'explicit' requires a transition matrix")
-        transition = np.asarray(spec.transition, dtype=np.float64)
     else:
         raise SyntheticSpecError(
             f"unknown transition family {spec.family!r}; valid: {', '.join(TRANSITION_FAMILIES)}"
@@ -86,10 +82,6 @@ def make_model(spec: SyntheticSpec) -> TwoLevelModel:
         taps = np.zeros(1)
     elif spec.kernel == "identity":
         taps = np.ones(1)
-    elif spec.kernel == "given":
-        if spec.kernel_taps is None:
-            raise SyntheticSpecError("kernel 'given' requires explicit taps")
-        taps = np.asarray(spec.kernel_taps, dtype=np.float64)
     else:
         raise SyntheticSpecError(
             f"unknown kernel family {spec.kernel!r}; valid: {', '.join(KERNEL_FAMILIES)}"
@@ -118,25 +110,19 @@ def make_model(spec: SyntheticSpec) -> TwoLevelModel:
 
 
 def simulate_drive_log(
-    model: TwoLevelModel,
-    duration: float,
-    lane_width: float,
-    seed,
-    *,
-    initial_offset: float = 0.0,
-    v_lon: float = 120.0,
+    model: TwoLevelModel, duration: float, lane_width: float, seed: MasterSeed
 ) -> DriveLog:
-    """Invert the offset convention: emit marking distances for a generated
-    profile at the model rate, with constant longitudinal velocity."""
+    """Invert the offset convention: emit marking distances for a profile
+    generated from the lane centre at the model rate, at a constant 120 km/h."""
     if not 0 < lane_width < math.inf:
         raise ArgumentUsageError(f"lane_width must be positive and finite, got {lane_width!r}")
-    profile = generate_profile(model, initial_offset, duration, seed)
+    profile = generate_profile(model, 0.0, duration, seed)
     x = profile.values
     return DriveLog(
         t=np.arange(x.size) * model.params.dt,
         dist_left=lane_width * (0.5 + x),
         dist_right=lane_width * (0.5 - x),
-        v_lon=np.full(x.size, float(v_lon)),
+        v_lon=np.full(x.size, 120.0),
         lane_id=np.full(x.size, np.nan),
         tour_id=f"synthetic-{seed}",
     )

@@ -1,7 +1,9 @@
-import numpy as np
+import dataclasses
+
 import pytest
 
 from laneweave.core import ModelParams, RunConfig
+from laneweave.noise import FineModel
 from laneweave.pipeline import calibrate_from_segments
 from laneweave.preprocessing import extract_segments, resample
 from laneweave.synthetic import (
@@ -56,15 +58,11 @@ def calibrated(tour_segments):
 @pytest.fixture(scope="session")
 def gentle_model():
     """Slow drift, half-amplitude jitter: a tame lane-keeping profile."""
-    taps = reference_kernel_taps(ModelParams())
-    spec = SyntheticSpec(
-        family="banded",
-        stay_probability=0.98,
-        kernel="given",
-        kernel_taps=taps * 0.5,
-        seed=GENTLE_SEED,
+    model = make_model(SyntheticSpec(stay_probability=0.98, seed=GENTLE_SEED))
+    params = model.params
+    return dataclasses.replace(
+        model, fine=FineModel(reference_kernel_taps(params) * 0.5, params.cap_threshold)
     )
-    return make_model(spec)
 
 
 @pytest.fixture(scope="session")

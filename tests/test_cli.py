@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import fields
 from unittest import mock
 
@@ -26,6 +27,7 @@ from laneweave.generator import load_model
 from laneweave.markov import discretize, state_centers
 from laneweave.pipeline import bench_generation, calibrate_from_segments, read_drive_log_csv
 from laneweave.preprocessing import Segment
+from laneweave.synthetic import KERNEL_FAMILIES, TRANSITION_FAMILIES
 
 
 @pytest.fixture
@@ -79,6 +81,18 @@ class TestSynth:
         for path in (a, b):
             assert main(["synth", "--minutes", "2", "--seed", "3", "--out", str(path)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("kernel", KERNEL_FAMILIES)
+    @pytest.mark.parametrize("family", TRANSITION_FAMILIES)
+    def test_every_family_and_kernel_writes_finite_files(self, tmp_path, family, kernel):
+        csv_path, model_path = tmp_path / "t.csv", tmp_path / "m.json"
+        argv = ["synth", "--family", family, "--kernel", kernel, "--minutes", "1",
+                "--out", str(csv_path), "--model-out", str(model_path)]
+        assert main(argv) == EXIT_OK
+        model = load_model(model_path)
+        assert (model.metadata["family"], model.metadata["kernel"]) == (family, kernel)
+        for path in (csv_path, model_path):
+            assert not re.search(r"NaN|Infinity", path.read_text())
 
 
 class TestCalibrate:

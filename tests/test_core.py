@@ -148,7 +148,6 @@ class TestOffsetSeries:
     def test_basic(self):
         s = OffsetSeries(0.2, [0.0, 0.1, 0.2])
         assert len(s) == 3
-        assert s.duration == pytest.approx(0.6)
         assert np.allclose(s.times(), [0.0, 0.2, 0.4])
         assert s.values.dtype == np.float64
 

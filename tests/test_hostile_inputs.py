@@ -246,6 +246,14 @@ MALFORMED = [
     ("snippet_duration_past_profile_steps", ["evaluate", "--model", "{root}/model.json", "--input",
                                              "{root}/tour.csv", "--snippet-duration", "1e20"], 2),
     ("lane_width_inf", ["synth", "--lane-width", "inf"], 2),
+    # the stay probability goes into every family's model metadata; a
+    # refused synth creates neither file, so not even their directory
+    ("synth_identity_p_nan", ["synth", "--family", "identity", "--p", "nan", "--minutes", "1",
+                              "--out", "{root}/out_synth_identity_p_nan/tour.csv",
+                              "--model-out", "{root}/out_synth_identity_p_nan/model.json"], 2),
+    ("synth_uniform_p_inf", ["synth", "--family", "uniform", "--p", "inf", "--minutes", "1",
+                             "--out", "{root}/out_synth_uniform_p_inf/tour.csv",
+                             "--model-out", "{root}/out_synth_uniform_p_inf/model.json"], 2),
     # an output path onto a directory, or under a file
     ("generate_out_directory", ["generate", "--model", "{root}/model.json", "--x0", "0", "--duration", "10",
                                 "--out", "{root}/a_directory"], 2),
@@ -324,6 +332,21 @@ class TestBoundsAreChecked:
         with pytest.raises(ValueError, match="L1 norm"):
             FineModel(np.ones(2), MAX_MAGNITUDE)
 
+    def test_float32_and_huge_ints_meet_the_same_bound(self):
+        # a float32 operand must not cast the bound to float32 infinity,
+        # and an int past float range must be refused, not overflow
+        with pytest.raises(ValueError, match="v_min"):
+            ModelParams(v_min=np.float32("inf"))
+        with pytest.raises(ValueError, match="v_min"):
+            ModelParams(v_min=10**400)
+        with pytest.raises(ValueError, match="noise_halfwidth"):
+            FineModel(np.ones(3), np.float32("inf"))
+        with pytest.raises(ValueError, match="noise_halfwidth"):
+            FineModel(np.ones(3), 10**400)
+        fine = FineModel(np.array([1e100]), np.float32(3e38))
+        assert type(fine.noise_halfwidth) is float
+        assert fine.output_bound == pytest.approx(3e138)
+
     def test_kernel_taps(self):
         assert FineModel(np.zeros(MAX_KERNEL_TAPS), 0.03).kernel_taps.size == MAX_KERNEL_TAPS
         with pytest.raises(ValueError, match="kernel taps"):
@@ -383,11 +406,12 @@ def command_lines(draw, files):
         argv += ["--modes", pick(["shift", "full,coarse", "fine,sideways", "", ","]), "--seed", pick(INTS)]
     elif command == "synth":
         flags = {"--minutes": FLOATS, "--p": FLOATS, "--lane-width": FLOATS, "--dt": FLOATS,
-                 "--n-c": INTS, "--seed": INTS, "--family": ["banded", "identity", "explicit"]}
+                 "--n-c": INTS, "--seed": INTS, "--family": ["banded", "uniform", "identity", "explicit"]}
         for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
             argv += [flag, pick(flags[flag])]
         if "--minutes" not in argv:
             argv += ["--minutes", "1"]
+        argv += ["--model-out", str(files["root"] / "out" / "truth.json")]
     elif command == "bench":
         # repetitions only cost time, so they stay small here
         argv += ["--steps", pick(INTS), "--reps", pick(["-1", "0", "1", "2"])]

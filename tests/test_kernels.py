@@ -104,7 +104,7 @@ def test_matches_oracle_on_fixed_cases(n_c, n_steps):
 @pytest.mark.parametrize("n_c", [2, 20])
 def test_seeded_walk_draws_the_same_uniforms(n_c):
     transition = _awkward_matrix(np.random.default_rng(n_c), n_c)
-    path = sample_chain(_model(transition), 1, 5000, 77)
+    path = sample_chain(_model(transition), 1, 5000, np.random.default_rng(77))
     uniforms = np.random.default_rng(77).random(4999)
     expected = brute_force_chain_path(np.cumsum(transition, axis=1), 1, uniforms)
     assert np.array_equal(path, expected)

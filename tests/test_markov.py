@@ -10,7 +10,6 @@ from laneweave.markov import (
     CoarseModel,
     count_transitions,
     discretize,
-    estimate_transitions,
     gaussian_kernel,
     sample_chain,
     smooth_values,
@@ -149,12 +148,12 @@ class TestSmooth:
 
 class TestEstimateTransitions:
     def test_hand_counted_single_sequence(self):
-        t = estimate_transitions([np.array([0, 0, 1, 1, 0])], 2)
+        t = transitions_from_counts(count_transitions([np.array([0, 0, 1, 1, 0])], 2))
         assert np.allclose(t, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_self_transitions_only(self):
         # only bin 3 is visited: every other row steps one bin toward it
-        t = estimate_transitions([np.array([3, 3, 3, 3])], 8)
+        t = transitions_from_counts(count_transitions([np.array([3, 3, 3, 3])], 8))
         expected = np.zeros((8, 8))
         expected[3, 3] = 1.0
         for row in (0, 1, 2):
@@ -205,18 +204,18 @@ class TestEstimateTransitions:
             assert visited[members].any()
 
     def test_segment_boundary_not_counted(self):
-        t = estimate_transitions([np.array([0, 1]), np.array([1, 0])], 2)
+        t = transitions_from_counts(count_transitions([np.array([0, 1]), np.array([1, 0])], 2))
         assert t[0, 1] == 1.0
         assert t[1, 0] == 1.0
 
     def test_no_transitions_raises(self):
         with pytest.raises(CalibrationError):
-            estimate_transitions([np.array([4])], 8)
+            transitions_from_counts(count_transitions([np.array([4])], 8))
 
     def test_rows_stochastic_on_random_data(self):
         rng = np.random.default_rng(7)
         segs = [rng.integers(0, 12, size=200) for _ in range(5)]
-        t = estimate_transitions(segs, 12)
+        t = transitions_from_counts(count_transitions(segs, 12))
         assert np.all(np.abs(t.sum(axis=1) - 1.0) <= 1e-9)
         assert t.min() >= 0.0 and t.max() <= 1.0
 
@@ -229,8 +228,8 @@ class TestEstimateTransitions:
         # must estimate back within 0.05 total variation.
         true = banded_transition(20, 0.9)
         model = _model(true)
-        states = sample_chain(model, 10, 200_000, 123)
-        estimated = estimate_transitions([states], 20)
+        states = sample_chain(model, 10, 200_000, np.random.default_rng(123))
+        estimated = transitions_from_counts(count_transitions([states], 20))
         visits = np.bincount(states[:-1], minlength=20)
         tv = 0.5 * np.abs(estimated - true).sum(axis=1)
         heavy = visits >= 1000
@@ -240,32 +239,32 @@ class TestEstimateTransitions:
 
 class TestSampleChain:
     def test_identity_matrix_absorbs(self):
-        path = sample_chain(_model(np.eye(20)), 7, 100, 0)
+        path = sample_chain(_model(np.eye(20)), 7, 100, np.random.default_rng(0))
         assert np.all(path == 7)
 
     def test_deterministic_alternation(self):
-        path = sample_chain(_model([[0.0, 1.0], [1.0, 0.0]]), 0, 4, 0)
+        path = sample_chain(_model([[0.0, 1.0], [1.0, 0.0]]), 0, 4, np.random.default_rng(0))
         assert path.tolist() == [0, 1, 0, 1]
 
     def test_uniform_rows_occupancy(self):
         n_c = 20
         model = _model(np.full((n_c, n_c), 1.0 / n_c))
-        path = sample_chain(model, 0, 1_000_000, 99)
+        path = sample_chain(model, 0, 1_000_000, np.random.default_rng(99))
         freq = np.bincount(path, minlength=n_c) / path.size
         assert np.abs(freq - 1.0 / n_c).max() <= 0.005
 
     def test_same_seed_bit_identical(self):
         model = _model(banded_transition(20, 0.9))
-        a = sample_chain(model, 5, 10_000, 2024)
-        b = sample_chain(model, 5, 10_000, 2024)
+        a = sample_chain(model, 5, 10_000, np.random.default_rng(2024))
+        b = sample_chain(model, 5, 10_000, np.random.default_rng(2024))
         assert np.array_equal(a, b)
 
     def test_invalid_arguments(self):
         model = _model(np.eye(4))
         with pytest.raises(ValueError):
-            sample_chain(model, 4, 10, 0)
+            sample_chain(model, 4, 10, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            sample_chain(model, 0, 0, 0)
+            sample_chain(model, 0, 0, np.random.default_rng(0))
 
 
 class TestCoarseModelValidation:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from laneweave.core import ModelParams, OffsetSeries
+from laneweave.core import OffsetSeries
 from laneweave.errors import CalibrationError
 from laneweave.markov import gaussian_kernel, state_centers
 from laneweave.noise import (
@@ -148,7 +148,7 @@ class TestFitKernel:
     def test_zero_signal_fits_zero(self, params):
         fine, fit = fit_kernel([series(np.zeros(4096))], params)
         assert np.allclose(fit.knot_values, 0.0, atol=1e-12)
-        noise = generate_noise(fine, 1000, 3)
+        noise = generate_noise(fine, 1000, np.random.default_rng(3))
         assert np.abs(noise).max() <= 1e-12
 
     def test_insufficient_data_names_shortfall(self, params):
@@ -164,33 +164,33 @@ class TestFitKernel:
 class TestGenerateNoise:
     def test_identity_kernel_is_raw_uniform(self):
         model = FineModel(np.ones(1), 0.03)
-        out = generate_noise(model, 10_000, 5)
+        out = generate_noise(model, 10_000, np.random.default_rng(5))
         assert np.abs(out).max() <= 0.03
         assert np.abs(out).max() > 0.029  # nearly reaches the bound
 
     def test_two_tap_average_has_half_lag_one_autocorrelation(self):
         model = FineModel(np.array([0.5, 0.5]), 0.03)
-        out = generate_noise(model, 100_000, 6)
+        out = generate_noise(model, 100_000, np.random.default_rng(6))
         centered = out - out.mean()
         rho = (centered[1:] * centered[:-1]).mean() / centered.var()
         assert rho == pytest.approx(0.5, abs=0.02)
 
     def test_convolution_bound_always_holds(self, reference_taps):
         model = FineModel(reference_taps, 0.03)
-        out = generate_noise(model, 50_000, 7)
+        out = generate_noise(model, 50_000, np.random.default_rng(7))
         assert np.abs(out).max() <= model.output_bound + 1e-15
 
     def test_mean_is_stationary_near_zero(self, reference_taps):
         model = FineModel(reference_taps, 0.03)
-        out = generate_noise(model, 1_000_000, 8)
+        out = generate_noise(model, 1_000_000, np.random.default_rng(8))
         # var(mean) ~ (r^2/3) * (sum taps)^2 / n for the summed drive
         se = 0.03 * abs(reference_taps.sum()) / np.sqrt(3 * out.size)
         assert abs(out.mean()) <= 3 * se
 
     def test_deterministic_per_seed(self, reference_taps):
         model = FineModel(reference_taps, 0.03)
-        a = generate_noise(model, 1000, 9)
-        b = generate_noise(model, 1000, 9)
+        a = generate_noise(model, 1000, np.random.default_rng(9))
+        b = generate_noise(model, 1000, np.random.default_rng(9))
         assert isinstance(a, np.ndarray) and a.shape == (1000,)
         assert np.array_equal(a, b)
 
@@ -219,7 +219,7 @@ class TestGenerateNoise:
     def test_rejects_zero_steps(self, reference_taps):
         model = FineModel(reference_taps, 0.03)
         with pytest.raises(ValueError):
-            generate_noise(model, 0, 0)
+            generate_noise(model, 0, np.random.default_rng(0))
 
 
 class TestFineModelValidation:
