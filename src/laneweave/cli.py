@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
@@ -142,8 +143,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         name = report.mode.value
         atomic_write_text(out_dir / f"report_{name}.json", report_json(report, config))
         atomic_write_text(out_dir / f"summary_{name}.csv", summarize(report))
+    for report in reports:
         worst = max(report.ks, key=report.ks.get)
-        print(f"mode={name} snippets={report.snippet_count} max_ks={report.ks[worst]:.4f} ({worst})")
+        print(f"mode={report.mode.value} snippets={report.snippet_count} max_ks={report.ks[worst]:.4f} ({worst})")
     print(f"reports written to {out_dir}")
     return EXIT_OK
 
@@ -160,9 +162,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     model = make_model(spec)
     log = simulate_drive_log(model, args.minutes * 60.0, args.lane_width, args.seed)
     atomic_write_text(args.out, format_drive_log_csv(log))
-    print(f"wrote {len(log)} samples ({args.minutes:.1f} min at {model.params.sample_rate:g} Hz) to {args.out}")
     if args.model_out:
         save_model(model, args.model_out)
+    print(f"wrote {len(log)} samples ({args.minutes:.1f} min at {model.params.sample_rate:g} Hz) to {args.out}")
+    if args.model_out:
         print(f"ground-truth model written to {args.model_out}")
     return EXIT_OK
 
@@ -241,10 +244,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except LaneweaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
+    except BrokenPipeError:
+        # stdout closed early; each command prints only after writing its
+        # outputs. Lines still buffered go to the null device, so the
+        # flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

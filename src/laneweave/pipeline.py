@@ -1,6 +1,10 @@
 """The file-level pipeline: tour CSVs in, segments, calibrated models and
 CSV text out, plus the generation timing bench.
 
+`_fork_map` is the one place the package uses more than one process: it
+maps the tours of ingest_segments, and the row ranges of a long profile
+in format_profile_csv, over forked children, one per CPU.
+
 Input CSV schema, one file per tour: header t,dist_left,dist_right,v_lon
 with an optional trailing lane_id column; t in seconds, distances in
 meters, velocity in km/h, rows sorted by t.
@@ -10,7 +14,9 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import time
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import NoReturn
@@ -27,6 +33,10 @@ from .preprocessing import Segment, extract_segments, resample
 CSV_COLUMNS = ("t", "dist_left", "dist_right", "v_lon")
 # rows parsed per float() pass; bounds the transient list of cell strings
 CSV_CHUNK_ROWS = 1024
+# fewest profile rows a share formats: on a shared 2-vCPU Xeon host, two
+# shares took 8192 rows from 20.2 to 17.9 ms, but 4096 rows from 10.4 to
+# 11.3 ms, the fork and the pipe back costing more than they saved
+FORK_MIN_ROWS = 4096
 
 
 def read_drive_log_csv(path) -> DriveLog:
@@ -133,45 +143,103 @@ def format_drive_log_csv(log: DriveLog) -> str:
 
 
 def format_profile_csv(series: OffsetSeries) -> str:
-    rows = [f"{t!r},{x!r}\n" for t, x in zip(series.times().tolist(), series.values.tolist())]
-    return "t,x\n" + "".join(rows)
+    """The profile as t,x CSV text. Rows are formatted in ranges of at
+    least FORK_MIN_ROWS, so a profile of twice that or more is formatted
+    on every CPU, and the ranges are joined in order."""
+    ranges = max(1, len(series) // FORK_MIN_ROWS)
+    bounds = [len(series) * k // ranges for k in range(ranges + 1)]
+    chunks = _fork_map(partial(_format_rows, series.times(), series.values), zip(bounds, bounds[1:]))
+    return "t,x\n" + "".join(chunks)
+
+
+def _format_rows(times: np.ndarray, values: np.ndarray, rows: tuple[int, int]) -> str:
+    start, stop = rows
+    pairs = zip(times[start:stop].tolist(), values[start:stop].tolist())
+    return "".join([f"{t!r},{x!r}\n" for t, x in pairs])
 
 
 def ingest_segments(paths, config: RunConfig) -> list[Segment]:
     """Segments of every tour, tour by tour in argument order.
 
-    With several tours and several CPUs in this process's affinity mask,
-    each tour is read in a forked worker process, up to one per CPU (so
-    `taskset` limits them); fork copies only the calling thread, so a
-    caller running threads of its own should pass one tour at a time.
-    An error is the one the serial loop raises: that of the first
-    failing tour in argument order.
+    With several tours and several CPUs, the tours are read in shares,
+    the calling process reading the first (see _fork_map). An error is
+    the one the serial loop raises: that of the first failing tour in
+    argument order.
     """
-    paths = list(paths)
-    workers = _worker_count(len(paths))
-    if workers < 2:
-        per_tour = list(map(_ingest_tour, paths, repeat(config)))
-    else:
-        # imported here, so that the serial path, and with it every
-        # one-tour command, does not load them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # forked, not spawned: a spawned worker imports numpy and the
-        # package again, which costs more than reading a tour
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            # map yields in argument order, and once a tour raises it
-            # cancels the tours not yet started
-            per_tour = list(pool.map(_ingest_tour, paths, repeat(config)))
+    per_tour = _fork_map(partial(_ingest_tour, config=config), paths)
     return [segment for segments in per_tour for segment in segments]
 
 
-def _worker_count(tours: int) -> int:
-    """Processes ingest_segments reads tours in: 1 (the serial loop)
-    without fork or an affinity mask to count."""
+def _worker_count(items: int) -> int:
+    """Shares _fork_map cuts this many items into: one per CPU in this
+    process's affinity mask (so `taskset` limits them), at most one per
+    item, and 1 (no fork) without fork or an affinity mask to count."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return min(tours, len(os.sched_getaffinity(0)))
+    return min(items, len(os.sched_getaffinity(0)))
+
+
+def _fork_map(fn, items) -> list:
+    """[fn(item) for item in items], computed in _worker_count(len(items))
+    contiguous shares: the calling process maps the first, and one
+    os.fork() child maps each other share and pickles its results back
+    through a pipe. Raises the exception the serial loop would: the first
+    in item order, or ChildProcessError for a child that ended without a
+    result. Every child is reaped before this returns or raises.
+
+    fork copies only the calling thread, so a caller running threads of
+    its own should pass a single item.
+    """
+    items = list(items)
+    shares = max(1, _worker_count(len(items)))
+    bounds = [len(items) * k // shares for k in range(shares + 1)]
+    children = []  # (pid, read end of its pipe), in item order
+    try:
+        for start, stop in zip(bounds[1:], bounds[2:]):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_end)
+                _map_share_and_exit(fn, items[start:stop], write_end)
+            os.close(write_end)
+            children.append((pid, read_end))
+        results = [fn(item) for item in items[: bounds[1]]]
+        payloads = []
+        for _, read_end in children:
+            with open(read_end, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:
+        # a child still writing gets EPIPE once its read end is closed,
+        # so waiting cannot hang when this process raised early
+        statuses = []
+        for pid, read_end in children:
+            os.close(read_end)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (pid, _), payload, status in zip(children, payloads, statuses):
+        if status != 0 or not payload:
+            raise ChildProcessError(f"forked child {pid} ended without a result (wait status {status})")
+        share, error = pickle.loads(payload)
+        if error is not None:
+            raise error
+        results += share
+    return results
+
+
+def _map_share_and_exit(fn, share: list, write_end: int) -> NoReturn:
+    """In a forked child: pickle (results, None) or (None, the first
+    exception) into the pipe, then leave by os._exit, so the child never
+    returns into the parent's code nor flushes the parent's buffers."""
+    code = 1
+    try:
+        try:
+            outcome = [fn(item) for item in share], None
+        except Exception as exc:
+            outcome = None, exc
+        with open(write_end, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _ingest_tour(path, config: RunConfig) -> list[Segment]:

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from unittest import mock
 
@@ -28,6 +31,8 @@ from laneweave.markov import discretize, state_centers
 from laneweave.pipeline import bench_generation, calibrate_from_segments, read_drive_log_csv
 from laneweave.preprocessing import Segment
 from laneweave.synthetic import KERNEL_FAMILIES, TRANSITION_FAMILIES
+
+from test_ingest import _cli_env
 
 
 @pytest.fixture
@@ -529,6 +534,53 @@ class TestBench:
         assert row["coarse_s"] > 0.0
         assert row["noise_s"] > 0.0
         assert "saving_s" in row
+
+
+def _run_with_closed_stdout(argv, buffered):
+    """Run the CLI in a child whose stdout is a pipe with no reader. A
+    buffered stdout fails at the flush after the command, an unbuffered
+    one at its first print."""
+    env = _cli_env()
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "laneweave.cli", *map(str, argv)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
+REPORT_FILES = [f"{kind}_{mode}.{ext}" for mode in ("shift", "coarse", "fine", "full")
+                for kind, ext in (("report", "json"), ("summary", "csv"))]
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["synth", "calibrate", "generate", "evaluate", "bench"])
+def test_closed_stdout_exits_1_after_writing_every_output(tmp_path, tour_csv, model_file, command, buffered):
+    out = tmp_path / "out"
+    argv, outputs = {
+        "synth": (["--minutes", "1", "--out", out / "tour.csv", "--model-out", out / "truth.json"],
+                  ["tour.csv", "truth.json"]),
+        "calibrate": (["--input", tour_csv, tour_csv, "--out", out / "model.json"], ["model.json"]),
+        "generate": (["--model", model_file, "--x0", "0", "--duration", "60", "--out", out / "p.csv"],
+                     ["p.csv"]),
+        "evaluate": (["--model", model_file, "--input", tour_csv, "--out", out], REPORT_FILES),
+        "bench": (["--model", model_file, "--steps", "200", "--reps", "1"], []),
+    }[command]
+    completed = _run_with_closed_stdout([command, *argv], buffered)
+    assert completed.returncode == EXIT_FAILURE
+    assert "Traceback" not in completed.stderr
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert written == sorted(outputs)
+    if command == "evaluate":
+        expected = tmp_path / "expected"
+        assert main(["evaluate", "--model", str(model_file), "--input", str(tour_csv), "--out", str(expected)]) == EXIT_OK
+        for name in outputs:
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
 
 class TestConfigResolution:

@@ -1,7 +1,8 @@
-"""Ingestion reads several tours side by side, one forked worker process
-per tour: it must give what the in-process per-tour loop gives, segment
-for segment or error for error, and commands that read one tour must
-not load the process pool at all."""
+"""Ingestion reads several tours side by side, in shares mapped by the
+calling process and forked children: it must give what the in-process
+per-tour loop gives, segment for segment or error for error. Commands
+that read one tour must not fork, and no command loads multiprocessing
+or concurrent.futures."""
 
 import collections
 import contextlib
@@ -51,8 +52,8 @@ def test_error_survives_pickle(cls):
     assert vars(restored) == vars(error)
 
 
-def pool_forced():
-    """Take the worker-process branch whatever the CPU count."""
+def fork_forced():
+    """Fork a child for every tour but the first, whatever the CPU count."""
     return mock.patch.object(pipeline, "_worker_count", lambda tours: max(tours, 2))
 
 
@@ -97,12 +98,15 @@ def test_pool_matches_per_tour_loop(tmp_path_factory, texts):
         paths[-1].write_bytes(text.encode())
     config = RunConfig()
     expected = outcome(lambda: per_tour_loop(paths, config))
-    with pool_forced():
+    with fork_forced():
         assert outcome(lambda: ingest_segments(paths, config)) == expected
 
 
 def _cli_env():
+    """The environment of a CLI child: one BLAS thread, stdout buffered as
+    on a pipe whatever the caller's PYTHONUNBUFFERED."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env.pop("PYTHONUNBUFFERED", None)
     src = str(Path(laneweave.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
@@ -143,7 +147,7 @@ def test_first_failing_tour_sets_the_error(tours, names, expected):
     argv = ["calibrate", "--input", *(tours[name] for name in names), "--out", tours["root"] / "model.json"]
     with serial_forced():
         serial = _run(argv)
-    with pool_forced():
+    with fork_forced():
         pooled = _run(argv)
     assert serial[0] == expected
     assert pooled == serial
@@ -151,19 +155,23 @@ def test_first_failing_tour_sets_the_error(tours, names, expected):
 
 def test_too_short_tour_is_named(tours):
     argv = ["calibrate", "--input", tours["good1"], tours["one_row"], "--out", tours["root"] / "model.json"]
-    for forced in (serial_forced, pool_forced):
+    for forced in (serial_forced, fork_forced):
         with forced():
             code, stderr = _run(argv)
         assert code == EXIT_CALIBRATION
         assert stderr == "error: tour 'one_row': need at least 2 valid samples, got 1\n"
 
 
+# os.fork raises, so a command that forks fails the run
 _LEAN_RUNNER = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from laneweave.cli import main
+def fork():
+    raise AssertionError("forked")
+os.fork = fork
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in json.loads(sys.argv[1])]
-loaded = [name for name in ("multiprocessing", "concurrent.futures.process") if name in sys.modules]
+loaded = [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules]
 print(json.dumps([codes, loaded]))
 """
 
@@ -184,29 +192,32 @@ def test_one_tour_commands_load_no_process_pool(tours):
 
 
 # Prints a line before calibrating, so that stdout holds buffered output
-# when the workers are forked; a worker that flushed its inherited copy
+# when the children are forked; a child that flushed its inherited copy
 # would print it twice.
-_POOL_RUNNER = """
-import sys
+_FORK_RUNNER = """
+import os, sys
 from laneweave import cli, pipeline
 pipeline._worker_count = lambda tours: max(tours, 2)
+forks = []
+real_fork = os.fork
+os.fork = lambda: forks.append(1) or real_fork()
 print("before calibrate")
 code = cli.main(sys.argv[1:])
-print("pool loaded:", "concurrent.futures.process" in sys.modules)
+print("forks:", len(forks), [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules])
 sys.exit(code)
 """
 
 
 def test_forked_workers_print_nothing_twice(tours):
-    model = tours["root"] / "pool_model.json"
+    model = tours["root"] / "forked_model.json"
     completed = subprocess.run(
-        [sys.executable, "-c", _POOL_RUNNER, "calibrate", "--input",
+        [sys.executable, "-c", _FORK_RUNNER, "calibrate", "--input",
          str(tours["good1"]), str(tours["good2"]), "--out", str(model)],
         capture_output=True, text=True, env=_cli_env(), timeout=120,
     )
     assert completed.returncode == EXIT_OK, completed.stderr
     lines = completed.stdout.splitlines()
-    assert lines[0] == "before calibrate" and lines[-1] == "pool loaded: True"
+    assert lines[0] == "before calibrate" and lines[-1] == "forks: 1 []"
     assert f"calibrated model written to {model}" in lines
     assert len(lines) == 7
     assert max(collections.Counter(lines).values()) == 1
