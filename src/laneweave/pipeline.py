@@ -33,9 +33,10 @@ from .preprocessing import Segment, extract_segments, resample
 CSV_COLUMNS = ("t", "dist_left", "dist_right", "v_lon")
 # rows parsed per float() pass; bounds the transient list of cell strings
 CSV_CHUNK_ROWS = 1024
-# fewest profile rows a share formats: on a shared 2-vCPU Xeon host, two
-# shares took 8192 rows from 20.2 to 17.9 ms, but 4096 rows from 10.4 to
-# 11.3 ms, the fork and the pipe back costing more than they saved
+# fewest profile rows a share formats: timing the writer alone on a shared
+# 2-vCPU Xeon host, two shares took 8192 rows from 20.2 to 17.9 ms, but
+# 4096 rows from 10.4 to 11.3 ms, the fork and the pipe back costing more
+# than they saved
 FORK_MIN_ROWS = 4096
 
 
@@ -185,7 +186,9 @@ def _fork_map(fn, items) -> list:
     os.fork() child maps each other share and pickles its results back
     through a pipe. Raises the exception the serial loop would: the first
     in item order, or ChildProcessError for a child that ended without a
-    result. Every child is reaped before this returns or raises.
+    result. Every child is reaped before this returns or raises. Shares
+    no child could be forked for (no pipe or process to be had) are
+    mapped in the calling process, after the children's.
 
     fork copies only the calling thread, so a caller running threads of
     its own should pass a single item.
@@ -196,25 +199,22 @@ def _fork_map(fn, items) -> list:
     children = []  # (pid, read end of its pipe), in item order
     try:
         for start, stop in zip(bounds[1:], bounds[2:]):
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_end)
-                _map_share_and_exit(fn, items[start:stop], write_end)
-            os.close(write_end)
-            children.append((pid, read_end))
+            child = _fork_share(fn, items[start:stop], [read_end for _, read_end in children])
+            if child is None:
+                break
+            children.append(child)
         results = [fn(item) for item in items[: bounds[1]]]
         payloads = []
         for _, read_end in children:
             with open(read_end, "rb", closefd=False) as pipe:
                 payloads.append(pipe.read())
     finally:
-        # a child still writing gets EPIPE once its read end is closed,
-        # so waiting cannot hang when this process raised early
-        statuses = []
-        for pid, read_end in children:
+        # every read end is closed before any wait, so a child still
+        # writing gets EPIPE and cannot hang the wait when this process
+        # raised early (no child holds another's read end)
+        for _, read_end in children:
             os.close(read_end)
-            statuses.append(os.waitpid(pid, 0)[1])
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
     for (pid, _), payload, status in zip(children, payloads, statuses):
         if status != 0 or not payload:
             raise ChildProcessError(f"forked child {pid} ended without a result (wait status {status})")
@@ -222,15 +222,42 @@ def _fork_map(fn, items) -> list:
         if error is not None:
             raise error
         results += share
-    return results
+    return results + [fn(item) for item in items[bounds[len(children) + 1] :]]
 
 
-def _map_share_and_exit(fn, share: list, write_end: int) -> NoReturn:
-    """In a forked child: pickle (results, None) or (None, the first
-    exception) into the pipe, then leave by os._exit, so the child never
-    returns into the parent's code nor flushes the parent's buffers."""
+def _fork_share(fn, share: list, inherited: list[int]) -> tuple[int, int] | None:
+    """Fork a child that maps share: its pid and the read end of its pipe,
+    or None when os.pipe or os.fork fails with OSError (EMFILE, EAGAIN,
+    ENOMEM). The child closes the inherited read ends of earlier
+    children's pipes, so closing one in the parent reaches its writer."""
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
+    pid = None
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
+    finally:
+        if pid is None:
+            os.close(read_end)
+            os.close(write_end)
+    if pid == 0:
+        _map_share_and_exit(fn, share, write_end, inherited + [read_end])
+    os.close(write_end)
+    return pid, read_end
+
+
+def _map_share_and_exit(fn, share: list, write_end: int, inherited: list[int]) -> NoReturn:
+    """In a forked child: close the inherited read ends, pickle (results,
+    None) or (None, the first exception) into the pipe, then leave by
+    os._exit, so the child never returns into the parent's code nor
+    flushes the parent's buffers."""
     code = 1
     try:
+        for read_end in inherited:
+            os.close(read_end)
         try:
             outcome = [fn(item) for item in share], None
         except Exception as exc:

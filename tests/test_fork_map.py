@@ -3,6 +3,7 @@ and the profile writer that formats long profiles through it: results and
 errors in item order whatever the share count, no child left behind, and
 the same CSV bytes as the one-process writer."""
 
+import errno
 import os
 import signal
 from unittest import mock
@@ -103,6 +104,58 @@ def test_interrupt_in_the_calling_process_reaps_every_child():
 
     with shares(3), pytest.raises(KeyboardInterrupt):
         _fork_map(fn, range(6))
+
+
+def test_error_in_the_calling_process_with_large_child_results_does_not_hang():
+    # each child's result is larger than a pipe's buffer, so a child
+    # blocks writing until its read end is closed in every process
+    def fn(item):
+        if item == 0:
+            raise ValueError("first tour")
+        return b"x" * 200_000
+
+    with shares(3), pytest.raises(ValueError, match="first tour"):
+        _fork_map(fn, range(3))
+
+
+def open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+def failing_on_call(real, call):
+    """real, except that its call-th call fails as when the host has no
+    process or descriptor to spare."""
+    calls = []
+
+    def wrapper():
+        calls.append(1)
+        if len(calls) == call:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real()
+    return wrapper
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("name", ["fork", "pipe"])
+@pytest.mark.parametrize("call", [1, 2])
+def test_shares_that_cannot_fork_are_mapped_in_the_calling_process(name, call):
+    before = open_fds()
+    with shares(3), mock.patch.object(os, name, failing_on_call(getattr(os, name), call)):
+        results = _fork_map(tagged, range(6))
+    assert [value for value, _ in results] == [item * 10 for item in range(6)]
+    # [0, 1] in the calling process, [2, 3] in a child if the first fork
+    # took, and the shares after the failed one in the calling process
+    local = [0, 1] + ([2, 3] if call == 1 else []) + [4, 5]
+    assert [item for item, (_, pid) in enumerate(results) if pid == os.getpid()] == local
+    assert open_fds() == before
+
+
+@pytest.mark.parametrize("rows, first", [({3, 5}, 3), ({5}, 5), ({1, 5}, 1)])
+def test_first_error_in_item_order_when_a_fork_fails(rows, first):
+    with shares(3), mock.patch.object(os, "fork", failing_on_call(os.fork, 2)), \
+            pytest.raises(SchemaError) as raised:
+        _fork_map(failing_at(rows), range(6))
+    assert raised.value.row == first
 
 
 def serial_profile_csv(series):
