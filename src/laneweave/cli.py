@@ -15,16 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ModelParams, RunConfig, check_seed
-from .errors import (
-    ArgumentUsageError,
-    CalibrationError,
-    EmptySeriesError,
-    EvaluationError,
-    LaneweaveError,
-    ModelFormatError,
-    SchemaError,
-    SyntheticSpecError,
-)
+from .errors import ArgumentUsageError, InsufficientDataError, LaneweaveError, SchemaError
 from .evaluation import evaluate, parse_modes, report_json, summarize, window_steps
 from .generator import atomic_write_text, generate_profile, load_model, read_input, save_model
 from .pipeline import (
@@ -45,12 +36,8 @@ EXIT_FAILURE = 1
 # exit code of each error type; an error takes that of its nearest listed base
 EXIT_CODES = {
     ArgumentUsageError: EXIT_ARGUMENT,
-    SyntheticSpecError: EXIT_ARGUMENT,
     SchemaError: EXIT_SCHEMA,
-    ModelFormatError: EXIT_SCHEMA,
-    CalibrationError: EXIT_CALIBRATION,
-    EmptySeriesError: EXIT_CALIBRATION,
-    EvaluationError: EXIT_CALIBRATION,
+    InsufficientDataError: EXIT_CALIBRATION,
     LaneweaveError: EXIT_FAILURE,
 }
 
@@ -69,7 +56,7 @@ def resolve_config(args: argparse.Namespace, base: ModelParams | None = None) ->
     names = {f.name for f in fields(RunConfig)}
     config_path = getattr(args, "config", None)
     if config_path:
-        document = read_input(config_path, "config", SchemaError, as_json=True)
+        document = read_input(config_path, "config", as_json=True)
         if not isinstance(document, dict):
             raise SchemaError("config file must hold a JSON object")
         for key, value in document.items():

@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ArgumentUsageError, InvalidSampleError
+from .errors import ArgumentUsageError
 
 # a seed that seed_children splits; check_seed refuses any other
 MasterSeed = Union[int, np.random.SeedSequence, None]
@@ -196,9 +196,8 @@ def relative_offset(dist_left, dist_right):
     bad = ~_usable_distances(dl, dr)
     if np.any(bad):
         flat = int(np.argmax(np.atleast_1d(bad)))
-        raise InvalidSampleError(
-            float(np.atleast_1d(dl)[flat]), float(np.atleast_1d(dr)[flat])
-        )
+        left, right = float(np.atleast_1d(dl)[flat]), float(np.atleast_1d(dr)[flat])
+        raise ArgumentUsageError(f"invalid marking distances: left={left!r} right={right!r}")
     out = (dl - dr) / (dl + dr) * 0.5
     if out.ndim == 0:
         return float(out)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import MasterSeed, OffsetSeries, RunConfig, check_seed, seed_children
-from .errors import ArgumentUsageError, EvaluationError, MetricError
+from .errors import ArgumentUsageError, InsufficientDataError
 from .generator import MAX_PROFILE_STEPS, TwoLevelModel, coarse_profile, generate_profile
 from .markov import discretize
 from .noise import generate_noise, measured_coarse
@@ -81,7 +81,7 @@ def compute_metrics(values) -> np.ndarray:
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 0 or values.shape[-1] < 2:
-        raise MetricError(f"snippets need at least 2 samples, got shape {values.shape}")
+        raise ArgumentUsageError(f"snippets need at least 2 samples, got shape {values.shape}")
     diffs = np.diff(values)
     q25, median, q75 = np.quantile(values, [0.25, 0.5, 0.75], axis=-1)
     x_max = values.max(axis=-1)
@@ -331,7 +331,7 @@ def evaluate(
         tracks.append((x, drift, np.clip(x - drift, -params.cap_threshold, params.cap_threshold)))
     blocks = [tuple(_windows(v, w) for v in track) for track in tracks]
     if not any(len(windows) for windows, _, _ in blocks):
-        raise EvaluationError("no snippets: every segment is shorter than the snippet window")
+        raise InsufficientDataError("no snippets: every segment is shorter than the snippet window")
     real, drift, capped = (np.concatenate(parts) for parts in zip(*blocks))
     real_rows = compute_metrics(real)
     real_population = Population(real_rows)
@@ -377,7 +377,7 @@ def summarize(report: EvaluationReport) -> str:
     """Plot-ready CSV: one row per (metric, population) with min, mean,
     max, and the q05..q95 quantile ladder."""
     if report.snippet_count == 0:
-        raise EvaluationError("report holds no snippets")
+        raise InsufficientDataError("report holds no snippets")
     header = ["metric", "population", "count", "min", "mean", "max", *LADDER_KEYS]
     lines = [",".join(header)]
     sides = (("real", report.real_population), ("artificial", report.artificial_population))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import MasterSeed, ModelParams, OffsetSeries, seed_children
-from .errors import ArgumentUsageError, LaneweaveError, ModelFormatError
+from .errors import ArgumentUsageError, SchemaError
 from .markov import CoarseModel, discretize, sample_chain, smooth_values, state_centers
 from .noise import FineModel, generate_noise
 
@@ -94,40 +94,44 @@ def _current_umask() -> int:
 def atomic_write_text(path, text: str) -> None:
     """Write via a temp file in the same directory plus rename. The file
     gets the mode a plain open() would give it: 0666 less the umask.
-    A path that names a directory, or lies under a file, is refused
-    before anything is written."""
+    A path that names a directory is refused before anything is written
+    (os.replace would replace a symlink to one); a path the system
+    refuses, such as one under a file, with too long a name or without
+    permission, raises ArgumentUsageError. No temp file is left behind."""
     path = Path(path)
+    tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise ArgumentUsageError(f"cannot write {path}: {path.parent} is not a directory") from None
-    if path.is_dir():
-        raise ArgumentUsageError(f"cannot write {path}: it is a directory")
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
+        if path.is_dir():
+            raise ArgumentUsageError(f"cannot write {path}: it is a directory")
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.chmod(tmp, 0o666 & ~_current_umask())
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:
+        under_file = isinstance(exc, (FileExistsError, NotADirectoryError))
+        reason = f"{path.parent} is not a directory" if under_file else exc.strerror
+        raise ArgumentUsageError(f"cannot write {path}: {reason}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
-def read_input(path, kind: str, error: type[LaneweaveError], *, as_json: bool = False):
+def read_input(path, kind: str, *, as_json: bool = False):
     """Text of an input file, or with as_json the JSON document it holds.
     A missing, unreadable, non-UTF-8 or (with as_json) malformed file
-    raises `error` with a message naming the kind of file."""
+    raises SchemaError with a message naming the kind of file."""
     try:
         text = Path(path).read_text()
         return json.loads(text) if as_json else text
     except FileNotFoundError:
-        raise error(f"{kind} file not found: {path}") from None
+        raise SchemaError(f"{kind} file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {kind} file {path}: {exc}") from None
+        raise SchemaError(f"cannot read {kind} file {path}: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise error(f"{kind} file is not valid JSON: {exc}") from None
+        raise SchemaError(f"{kind} file is not valid JSON: {exc}") from None
 
 
 def model_to_dict(model: TwoLevelModel) -> dict:
@@ -149,7 +153,7 @@ def model_to_dict(model: TwoLevelModel) -> dict:
 
 def _require(doc: dict, key: str, context: str = "model file"):
     if not isinstance(doc, dict) or key not in doc:
-        raise ModelFormatError(f"{context} is missing field {key!r}")
+        raise SchemaError(f"{context} is missing field {key!r}")
     return doc[key]
 
 
@@ -161,29 +165,29 @@ def _is_number(value) -> bool:
 def _require_floats(doc: dict, key: str, context: str) -> np.ndarray:
     value = _require(doc, key, context)
     if not (isinstance(value, list) and all(map(_is_number, value))):
-        raise ModelFormatError(f"{context} field {key!r} must be a list of numbers")
+        raise SchemaError(f"{context} field {key!r} must be a list of numbers")
     try:
         return np.array(value, dtype=np.float64)
     except OverflowError:
-        raise ModelFormatError(f"{context} field {key!r} holds a number past float range") from None
+        raise SchemaError(f"{context} field {key!r} holds a number past float range") from None
 
 
 def model_from_dict(doc: dict) -> TwoLevelModel:
     version = _require(doc, "version")
     if version != FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported model format version {version!r}")
+        raise SchemaError(f"unsupported model format version {version!r}")
     raw_params = _require(doc, "params")
     try:
         params = ModelParams(**{name: raw_params[name] for name in _PARAM_FILE_FIELDS})
     except KeyError as exc:
-        raise ModelFormatError(f"params section is missing field {exc.args[0]!r}") from None
+        raise SchemaError(f"params section is missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"invalid params: {exc}") from None
+        raise SchemaError(f"invalid params: {exc}") from None
 
     raw_coarse = _require(doc, "coarse")
     flat = _require_floats(raw_coarse, "transition", "coarse section")
     if flat.size != params.n_c * params.n_c:
-        raise ModelFormatError(
+        raise SchemaError(
             f"coarse.transition has {flat.size} entries, expected {params.n_c * params.n_c}"
         )
     try:
@@ -195,26 +199,26 @@ def model_from_dict(doc: dict) -> TwoLevelModel:
             smoothing_support=params.smoothing_support,
         )
     except ValueError as exc:
-        raise ModelFormatError(f"invalid coarse model: {exc}") from None
+        raise SchemaError(f"invalid coarse model: {exc}") from None
     centers = _require_floats(raw_coarse, "state_centers", "coarse section")
     if centers.size != params.n_c or not np.allclose(
         centers, state_centers(params.n_c), rtol=0.0, atol=1e-12
     ):
-        raise ModelFormatError("coarse.state_centers do not match the n_c bin grid")
+        raise SchemaError("coarse.state_centers do not match the n_c bin grid")
 
     raw_fine = _require(doc, "fine")
     taps = _require_floats(raw_fine, "kernel_taps", "fine section")
     halfwidth = _require(raw_fine, "noise_halfwidth", "fine section")
     if not _is_number(halfwidth):
-        raise ModelFormatError("fine section field 'noise_halfwidth' must be a number")
+        raise SchemaError("fine section field 'noise_halfwidth' must be a number")
     try:
         fine = FineModel(kernel_taps=taps, noise_halfwidth=float(halfwidth))
     except (ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"invalid fine model: {exc}") from None
+        raise SchemaError(f"invalid fine model: {exc}") from None
 
     metadata = doc.get("metadata") or {}
     if not isinstance(metadata, dict):
-        raise ModelFormatError("metadata must be a JSON object")
+        raise SchemaError("metadata must be a JSON object")
     return TwoLevelModel(params=params, coarse=coarse, fine=fine, metadata=metadata)
 
 
@@ -224,4 +228,4 @@ def save_model(model: TwoLevelModel, destination) -> None:
 
 
 def load_model(source) -> TwoLevelModel:
-    return model_from_dict(read_input(Path(source), "model", ModelFormatError, as_json=True))
+    return model_from_dict(read_input(Path(source), "model", as_json=True))

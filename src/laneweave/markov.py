@@ -12,7 +12,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import SIGMA_FLOOR_STEPS
-from .errors import CalibrationError
+from .errors import InsufficientDataError
 
 ROW_SUM_TOL = 1e-9
 
@@ -90,7 +90,7 @@ def transitions_from_counts(counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.float64)
     totals = counts.sum(axis=1)
     if totals.sum() == 0:
-        raise CalibrationError("no state transitions in the calibration data")
+        raise InsufficientDataError("no state transitions in the calibration data")
     n_c = counts.shape[0]
     transition = np.zeros((n_c, n_c), dtype=np.float64)
     seen = totals > 0

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import MAX_MAGNITUDE, ModelParams, OffsetSeries, RunConfig, within_magnitude
-from .errors import CalibrationError
+from .errors import InsufficientDataError
 from .markov import discretize, gaussian_kernel, smooth_values, state_centers
 
 OVERLAP = 0.5  # fraction shared by consecutive spectral windows
@@ -124,7 +124,7 @@ def average_magnitude_spectrum(
             acc += np.abs(np.fft.rfft(v[start : start + window_length]))
             count += 1
     if count == 0:
-        raise CalibrationError(
+        raise InsufficientDataError(
             f"no segment provides a complete {window_length}-sample spectral window"
         )
     return np.fft.rfftfreq(window_length, dt), acc / count, count
@@ -188,7 +188,7 @@ def fit_kernel(
     total = sum(v.size for v in seg_values)
     required = 8 * window_length
     if total < required:
-        raise CalibrationError(
+        raise InsufficientDataError(
             f"insufficient data for the spectral fit: {total} capped samples "
             f"across {len(seg_values)} segments, need at least {required}"
         )

@@ -24,7 +24,7 @@ from typing import NoReturn
 import numpy as np
 
 from .core import DriveLog, OffsetSeries, RunConfig
-from .errors import ArgumentUsageError, CalibrationError, SchemaError
+from .errors import ArgumentUsageError, InsufficientDataError, SchemaError
 from .generator import TwoLevelModel, coarse_profile, generate_profile, read_input
 from .markov import CoarseModel, count_transitions, discretize, transitions_from_counts
 from .noise import cap, extract_fine, fit_kernel, generate_noise
@@ -50,7 +50,7 @@ def read_drive_log_csv(path) -> DriveLog:
     checked again one by one to report the first error in file order.
     """
     path = Path(path)
-    lines = read_input(path, "input", SchemaError).splitlines()
+    lines = read_input(path, "input").splitlines()
     if not lines:
         raise SchemaError(f"{path}: empty file, expected a header row")
     header = tuple(cell.strip() for cell in lines[0].split(","))
@@ -285,7 +285,7 @@ def calibrate_from_segments(
     per-row visit totals, the repaired rows, and the spectral fit residual.
     """
     if not segments:
-        raise CalibrationError("no road-following segments in the input data")
+        raise InsufficientDataError("no road-following segments in the input data")
     params = config.model_params()
     state_segments = [discretize(seg.series.values, params.n_c) for seg in segments]
     counts = count_transitions(state_segments, params.n_c)

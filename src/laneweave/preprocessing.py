@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DriveLog, ModelParams, OffsetSeries, RunConfig, relative_offset
-from .errors import EmptySeriesError, SchemaError
+from .errors import InsufficientDataError, SchemaError
 
 # Most grid points resample builds from one tour, about 23 days at 5 Hz;
 # each point holds a dozen float64 working values.
@@ -55,7 +55,7 @@ def resample(log: DriveLog, target_rate: float) -> ResampledTrack:
     valid_src = log.valid_mask()
     n_valid = int(valid_src.sum())
     if n_valid < 2:
-        raise EmptySeriesError(f"tour {log.tour_id!r}: need at least 2 valid samples, got {n_valid}")
+        raise InsufficientDataError(f"tour {log.tour_id!r}: need at least 2 valid samples, got {n_valid}")
 
     t = log.t
     span = (t[-1] - t[0]) * target_rate

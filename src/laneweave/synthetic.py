@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DriveLog, MasterSeed, ModelParams
-from .errors import ArgumentUsageError, SyntheticSpecError
+from .errors import ArgumentUsageError
 from .generator import TwoLevelModel, generate_profile
 from .markov import CoarseModel
 from .noise import FineModel, kernel_from_damping
@@ -60,10 +60,10 @@ def make_model(spec: SyntheticSpec) -> TwoLevelModel:
     try:
         params = ModelParams(n_c=spec.n_c, dt=spec.dt, sample_rate=1.0 / spec.dt)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise SyntheticSpecError(f"invalid model parameters: {exc}") from None
+        raise ArgumentUsageError(f"invalid model parameters: {exc}") from None
     # checked for every family: each writes it into the model's metadata
     if not 0.0 <= spec.stay_probability <= 1.0:
-        raise SyntheticSpecError(f"stay probability {spec.stay_probability!r} outside [0, 1]")
+        raise ArgumentUsageError(f"stay probability {spec.stay_probability!r} outside [0, 1]")
 
     if spec.family == "banded":
         transition = banded_transition(spec.n_c, spec.stay_probability)
@@ -72,7 +72,7 @@ def make_model(spec: SyntheticSpec) -> TwoLevelModel:
     elif spec.family == "uniform":
         transition = np.full((spec.n_c, spec.n_c), 1.0 / spec.n_c)
     else:
-        raise SyntheticSpecError(
+        raise ArgumentUsageError(
             f"unknown transition family {spec.family!r}; valid: {', '.join(TRANSITION_FAMILIES)}"
         )
 
@@ -83,7 +83,7 @@ def make_model(spec: SyntheticSpec) -> TwoLevelModel:
     elif spec.kernel == "identity":
         taps = np.ones(1)
     else:
-        raise SyntheticSpecError(
+        raise ArgumentUsageError(
             f"unknown kernel family {spec.kernel!r}; valid: {', '.join(KERNEL_FAMILIES)}"
         )
 
@@ -97,7 +97,7 @@ def make_model(spec: SyntheticSpec) -> TwoLevelModel:
         )
         fine = FineModel(kernel_taps=taps, noise_halfwidth=params.cap_threshold)
     except ValueError as exc:
-        raise SyntheticSpecError(str(exc)) from None
+        raise ArgumentUsageError(str(exc)) from None
 
     metadata = {
         "source": "synthetic",

@@ -17,6 +17,7 @@ from laneweave.cli import (
     EVALUATE_SETTINGS,
     EXIT_ARGUMENT,
     EXIT_CALIBRATION,
+    EXIT_CODES,
     EXIT_FAILURE,
     EXIT_OK,
     EXIT_SCHEMA,
@@ -704,21 +705,15 @@ class TestConfigResolution:
 # the documented exit code of every package error
 EXIT_BY_ERROR = {
     errors.ArgumentUsageError: EXIT_ARGUMENT,
-    errors.SyntheticSpecError: EXIT_ARGUMENT,
     errors.SchemaError: EXIT_SCHEMA,
-    errors.ModelFormatError: EXIT_SCHEMA,
-    errors.CalibrationError: EXIT_CALIBRATION,
-    errors.EmptySeriesError: EXIT_CALIBRATION,
-    errors.EvaluationError: EXIT_CALIBRATION,
-    errors.InvalidSampleError: EXIT_FAILURE,
-    errors.MetricError: EXIT_FAILURE,
+    errors.InsufficientDataError: EXIT_CALIBRATION,
     errors.LaneweaveError: EXIT_FAILURE,
 }
 
 
 @pytest.mark.parametrize("cls, expected", EXIT_BY_ERROR.items(), ids=lambda v: getattr(v, "__name__", v))
 def test_each_error_exits_with_its_code(capsys, cls, expected):
-    error = cls(1.0, -1.0) if cls is errors.InvalidSampleError else cls("it failed")
+    error = cls("it failed")
     with mock.patch("laneweave.cli.load_model", side_effect=error):
         code = main(["generate", "--model", "m.json", "--x0", "0", "--duration", "1", "--out", "p.csv"])
     assert code == expected
@@ -731,3 +726,5 @@ def _with_subclasses(cls):
 
 def test_every_error_type_has_a_documented_code():
     assert _with_subclasses(errors.LaneweaveError) == set(EXIT_BY_ERROR)
+    # one error type per exit code
+    assert sorted(EXIT_CODES.values()) == [1, 2, 3, 4]

@@ -12,7 +12,7 @@ from laneweave.core import (
     RunConfig,
     relative_offset,
 )
-from laneweave.errors import InvalidSampleError
+from laneweave.errors import ArgumentUsageError
 
 distances = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -28,16 +28,15 @@ class TestRelativeOffset:
         assert relative_offset(3.6, 0.0) == 0.5
 
     def test_negative_distance_rejected(self):
-        with pytest.raises(InvalidSampleError) as err:
+        with pytest.raises(ArgumentUsageError, match=r"left=-0\.1 right=2\.0"):
             relative_offset(-0.1, 2.0)
-        assert err.value.dist_left == -0.1
 
     def test_zero_width_rejected(self):
-        with pytest.raises(InvalidSampleError):
+        with pytest.raises(ArgumentUsageError):
             relative_offset(0.0, 0.0)
 
     def test_nan_rejected(self):
-        with pytest.raises(InvalidSampleError):
+        with pytest.raises(ArgumentUsageError):
             relative_offset(float("nan"), 1.0)
 
     def test_array_input(self):
@@ -63,7 +62,7 @@ class TestRelativeOffset:
         assert relative_offset(1.2e308, 0.5e308) == pytest.approx(0.7 / 1.7 / 2, rel=1e-15)
 
     def test_width_past_the_largest_float_rejected(self):
-        with pytest.raises(InvalidSampleError):
+        with pytest.raises(ArgumentUsageError):
             relative_offset(1.7e308, 1.7e308)
         log = DriveLog(t=[0.0, 1.0], dist_left=[1.7e308, 1.7e308], dist_right=[1.0, 1.7e308], v_lon=[80.0, 80.0])
         assert log.valid_mask().tolist() == [True, False]

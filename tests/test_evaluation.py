@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from laneweave import evaluation
 from laneweave.core import OffsetSeries, RunConfig
-from laneweave.errors import ArgumentUsageError, EvaluationError, MetricError
+from laneweave.errors import ArgumentUsageError, InsufficientDataError
 from laneweave.evaluation import (
     METRIC_NAMES,
     EvalMode,
@@ -105,9 +105,9 @@ class TestComputeMetrics:
         assert column(compute_metrics(np.array([0.2, 0.0])), "mean_diff_10") == pytest.approx(-2.0)
 
     def test_too_short(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(ArgumentUsageError):
             compute_metrics(np.array([0.1]))
-        with pytest.raises(MetricError):
+        with pytest.raises(ArgumentUsageError):
             compute_metrics(np.zeros((3, 1)))
 
     def test_matches_brute_force_on_random_snippets(self):
@@ -302,7 +302,7 @@ class TestRunMode:
 
     @pytest.mark.parametrize("seed", [np.random.default_rng(3), -1, 2.0])
     def test_unusable_seed_is_refused_before_the_segments(self, reference_model, seed):
-        # these segments give no snippets, which would be an EvaluationError
+        # these segments give no snippets, which would be an InsufficientDataError
         with pytest.raises(ArgumentUsageError, match="seed"):
             evaluate(list(EvalMode), [segment(np.zeros(10))], reference_model, seed)
 
@@ -319,7 +319,7 @@ class TestRunMode:
 
 
     def test_no_snippets_is_an_error(self, reference_model):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(InsufficientDataError):
             run_mode(EvalMode.FULL, [segment(np.zeros(10))], reference_model, 0)
 
     def test_dt_mismatch_rejected(self, reference_model):

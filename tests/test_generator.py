@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from laneweave.core import ModelParams
-from laneweave.errors import ArgumentUsageError, ModelFormatError
+from laneweave.errors import ArgumentUsageError, SchemaError
 from laneweave.generator import (
     TwoLevelModel,
     atomic_write_text,
@@ -125,31 +125,31 @@ class TestPersistence:
         doc = model_to_dict(reference_model)
         n_c = reference_model.params.n_c
         doc["coarse"]["transition"][2 * n_c + 2] -= 0.1  # row 2 now sums to 0.9
-        with pytest.raises(ModelFormatError, match="row 2"):
+        with pytest.raises(SchemaError, match="row 2"):
             model_from_dict(doc)
 
     def test_unsupported_version(self, reference_model):
         doc = model_to_dict(reference_model)
         doc["version"] = 999
-        with pytest.raises(ModelFormatError, match="version"):
+        with pytest.raises(SchemaError, match="version"):
             model_from_dict(doc)
 
     def test_missing_section(self, reference_model):
         doc = model_to_dict(reference_model)
         del doc["fine"]
-        with pytest.raises(ModelFormatError, match="fine"):
+        with pytest.raises(SchemaError, match="fine"):
             model_from_dict(doc)
 
     def test_wrong_transition_length(self, reference_model):
         doc = model_to_dict(reference_model)
         doc["coarse"]["transition"] = doc["coarse"]["transition"][:-1]
-        with pytest.raises(ModelFormatError, match="entries"):
+        with pytest.raises(SchemaError, match="entries"):
             model_from_dict(doc)
 
     def test_state_centers_must_match_grid(self, reference_model):
         doc = model_to_dict(reference_model)
         doc["coarse"]["state_centers"][0] += 1e-6
-        with pytest.raises(ModelFormatError, match="state_centers"):
+        with pytest.raises(SchemaError, match="state_centers"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -164,17 +164,17 @@ class TestPersistence:
     def test_non_numeric_field_is_format_error(self, reference_model, section, key, value):
         doc = model_to_dict(reference_model)
         doc[section][key] = value
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(SchemaError):
             model_from_dict(doc)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ModelFormatError, match="not found"):
+        with pytest.raises(SchemaError, match="not found"):
             load_model(tmp_path / "nope.json")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{broken")
-        with pytest.raises(ModelFormatError, match="JSON"):
+        with pytest.raises(SchemaError, match="JSON"):
             load_model(path)
 
     def test_file_is_valid_json_document(self, reference_model, tmp_path):

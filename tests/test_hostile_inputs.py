@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 import laneweave
 from laneweave.cli import EXIT_ARGUMENT, EXIT_CALIBRATION, EXIT_OK, EXIT_SCHEMA, build_parser, main
 from laneweave.core import MAX_MAGNITUDE, MAX_N_C, MAX_SMOOTHING_STEPS, SIGMA_FLOOR_STEPS, ModelParams, RunConfig
-from laneweave.errors import ModelFormatError
+from laneweave.errors import SchemaError
 from laneweave.generator import generate_profile, load_model
 from laneweave.markov import gaussian_kernel
 from laneweave.noise import MAX_KERNEL_TAPS, FineModel
@@ -263,6 +263,11 @@ MALFORMED = [
                                    "--model-out", "{root}/a_directory"], 2),
     ("evaluate_out_file", ["evaluate", "--model", "{root}/model.json", "--input", "{root}/tour.csv",
                            "--out", "{root}/tour.csv"], 2),
+    # an output name the system refuses: past NAME_MAX (255 bytes)
+    ("generate_out_name_too_long", ["generate", "--model", "{root}/model.json", "--x0", "0", "--duration", "10",
+                                    "--out", "{root}/" + "p" * 300 + ".csv"], 2),
+    ("evaluate_out_name_too_long", ["evaluate", "--model", "{root}/model.json", "--input", "{root}/tour.csv",
+                                    "--out", "{root}/" + "r" * 300], 2),
 ]
 
 
@@ -515,7 +520,7 @@ def test_model_file_loads_to_bounded_output_or_is_refused(model_file, data):
     path.write_text(json.dumps(data.draw(mutated_models(json.loads(model_file.read_text())))))
     try:
         model = load_model(path)
-    except ModelFormatError:
+    except SchemaError:
         return
     values = generate_profile(model, 0.0, 20 * model.params.dt, 0).values
     assert np.all(np.isfinite(values))

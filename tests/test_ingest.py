@@ -22,7 +22,7 @@ import laneweave
 from laneweave import errors, pipeline
 from laneweave.cli import EXIT_CALIBRATION, EXIT_OK, EXIT_SCHEMA, main
 from laneweave.core import RunConfig
-from laneweave.errors import EmptySeriesError, LaneweaveError, SchemaError
+from laneweave.errors import InsufficientDataError, LaneweaveError, SchemaError
 from laneweave.pipeline import ingest_segments, read_drive_log_csv
 from laneweave.preprocessing import extract_segments, resample
 
@@ -38,7 +38,6 @@ def _subclasses(cls):
 ERROR_TYPES = sorted(set(_subclasses(LaneweaveError)), key=lambda cls: cls.__name__)
 # the errors whose constructor takes more than a message
 ERROR_EXAMPLES = {
-    errors.InvalidSampleError: errors.InvalidSampleError(1.0, -2.0),
     errors.SchemaError: errors.SchemaError("tour.csv: row 3, column 't': cannot parse 'x'", column="t", row=3),
 }
 
@@ -66,7 +65,7 @@ def outcome(ingest):
     error's type, message, row and column, comparable with ==."""
     try:
         segments = ingest()
-    except (SchemaError, EmptySeriesError) as exc:
+    except (SchemaError, InsufficientDataError) as exc:
         return ("error", type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None))
     return [(s.series.values.tobytes(), s.series.dt, s.start_t, s.source_tour) for s in segments]
 

@@ -5,7 +5,7 @@ import pytest
 import hypothesis.extra.numpy as hnp
 from hypothesis import given, settings, strategies as st
 
-from laneweave.errors import CalibrationError
+from laneweave.errors import InsufficientDataError
 from laneweave.markov import (
     CoarseModel,
     count_transitions,
@@ -209,7 +209,7 @@ class TestEstimateTransitions:
         assert t[1, 0] == 1.0
 
     def test_no_transitions_raises(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(InsufficientDataError):
             transitions_from_counts(count_transitions([np.array([4])], 8))
 
     def test_rows_stochastic_on_random_data(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from laneweave.core import OffsetSeries
-from laneweave.errors import CalibrationError
+from laneweave.errors import InsufficientDataError
 from laneweave.markov import gaussian_kernel, state_centers
 from laneweave.noise import (
     FineModel,
@@ -92,7 +92,7 @@ class TestSpectrumEstimation:
         assert count == 2
 
     def test_zero_windows_raise(self, params):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(InsufficientDataError):
             average_magnitude_spectrum([np.zeros(100)], 256, dt=params.dt)
 
     def test_noise_floor_matches_monte_carlo(self):
@@ -152,7 +152,7 @@ class TestFitKernel:
         assert np.abs(noise).max() <= 1e-12
 
     def test_insufficient_data_names_shortfall(self, params):
-        with pytest.raises(CalibrationError, match="2048"):
+        with pytest.raises(InsufficientDataError, match="2048"):
             fit_kernel([series(np.zeros(500))], params)
 
     def test_knot_grid_spans_nyquist(self, params):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from laneweave.core import DriveLog, ModelParams
-from laneweave.errors import EmptySeriesError
+from laneweave.errors import InsufficientDataError
 from laneweave.preprocessing import extract_segments, resample
 
 LANE_WIDTH = 3.6
@@ -56,7 +56,7 @@ class TestResample:
 
     def test_too_few_valid_samples(self):
         log = DriveLog(t=[0.0], dist_left=[1.8], dist_right=[1.8], v_lon=[90.0])
-        with pytest.raises(EmptySeriesError):
+        with pytest.raises(InsufficientDataError):
             resample(log, 5.0)
         bad = DriveLog(
             t=[0.0, 0.1, 0.2],
@@ -64,7 +64,7 @@ class TestResample:
             dist_right=[1.8, 1.8, 1.8],
             v_lon=[90.0] * 3,
         )
-        with pytest.raises(EmptySeriesError):
+        with pytest.raises(InsufficientDataError):
             resample(bad, 5.0)
 
     def test_invalid_sample_invalidates_bracketed_grid_points(self):

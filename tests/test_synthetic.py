@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from laneweave.core import ModelParams, relative_offset
-from laneweave.errors import SyntheticSpecError
+from laneweave.errors import ArgumentUsageError
 from laneweave.generator import generate_profile
 from laneweave.synthetic import (
     TRANSITION_FAMILIES,
@@ -43,14 +43,14 @@ class TestTransitionFamilies:
         assert np.allclose(model.coarse.transition, 0.05)
 
     def test_unknown_family(self):
-        with pytest.raises(SyntheticSpecError):
+        with pytest.raises(ArgumentUsageError):
             make_model(SyntheticSpec(family="circular"))
 
     def test_bad_stay_probability(self):
         # every family records it in the metadata, so a NaN would reach the model file
         for family in TRANSITION_FAMILIES:
             for p in (-0.1, 1.5, math.nan, math.inf):
-                with pytest.raises(SyntheticSpecError, match="stay probability"):
+                with pytest.raises(ArgumentUsageError, match="stay probability"):
                     make_model(SyntheticSpec(family=family, stay_probability=p))
 
 
@@ -64,7 +64,7 @@ class TestKernelFamilies:
         assert np.array_equal(model.fine.kernel_taps, [1.0])
 
     def test_unknown_kernel(self):
-        with pytest.raises(SyntheticSpecError):
+        with pytest.raises(ArgumentUsageError):
             make_model(SyntheticSpec(kernel="triangular"))
 
     def test_reference_kernel_is_default(self):
