@@ -8,7 +8,9 @@ import json
 import math
 import os
 import tempfile
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -97,10 +99,13 @@ def atomic_write_text(path, text: str) -> None:
     A path that names a directory is refused before anything is written
     (os.replace would replace a symlink to one); a path the system
     refuses, such as one under a file, with too long a name or without
-    permission, raises ArgumentUsageError. No temp file is left behind."""
+    permission, raises ArgumentUsageError. A failed write leaves behind
+    neither its temp file nor the parent directories made for it."""
     path = Path(path)
     tmp = None
+    made = []  # parent directories missing before the write, deepest first
     try:
+        made = list(takewhile(lambda parent: not parent.exists(), path.parents))
         path.parent.mkdir(parents=True, exist_ok=True)
         if path.is_dir():
             raise ArgumentUsageError(f"cannot write {path}: it is a directory")
@@ -109,7 +114,7 @@ def atomic_write_text(path, text: str) -> None:
             handle.write(text)
         os.chmod(tmp, 0o666 & ~_current_umask())
         os.replace(tmp, path)
-        tmp = None
+        tmp, made = None, []
     except OSError as exc:
         under_file = isinstance(exc, (FileExistsError, NotADirectoryError))
         reason = f"{path.parent} is not a directory" if under_file else exc.strerror
@@ -117,6 +122,9 @@ def atomic_write_text(path, text: str) -> None:
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        for parent in made:
+            with suppress(OSError):  # no longer empty, or never made
+                parent.rmdir()
 
 
 def read_input(path, kind: str, *, as_json: bool = False):

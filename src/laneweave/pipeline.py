@@ -3,7 +3,9 @@ CSV text out, plus the generation timing bench.
 
 `_fork_map` is the one place the package uses more than one process: it
 maps the tours of ingest_segments, and the row ranges of a long profile
-in format_profile_csv, over forked children, one per CPU.
+in format_profile_csv, over forked children, one per CPU, each handing
+its results back in an anonymous memory file. Where memory files
+(os.memfd_create) are missing, as off Linux, both run in one process.
 
 Input CSV schema, one file per tour: header t,dist_left,dist_right,v_lon
 with an optional trailing lane_id column; t in seconds, distances in
@@ -16,10 +18,11 @@ import math
 import os
 import pickle
 import time
+from contextlib import ExitStack
 from functools import partial
 from itertools import repeat
 from pathlib import Path
-from typing import NoReturn
+from typing import BinaryIO, NoReturn
 
 import numpy as np
 
@@ -35,8 +38,8 @@ CSV_COLUMNS = ("t", "dist_left", "dist_right", "v_lon")
 CSV_CHUNK_ROWS = 1024
 # fewest profile rows a share formats: timing the writer alone on a shared
 # 2-vCPU Xeon host, two shares took 8192 rows from 20.2 to 17.9 ms, but
-# 4096 rows from 10.4 to 11.3 ms, the fork and the pipe back costing more
-# than they saved
+# 4096 rows from 10.4 to 11.3 ms, the fork and the hand-back of the text
+# costing more than they saved
 FORK_MIN_ROWS = 4096
 
 
@@ -174,8 +177,9 @@ def ingest_segments(paths, config: RunConfig) -> list[Segment]:
 def _worker_count(items: int) -> int:
     """Shares _fork_map cuts this many items into: one per CPU in this
     process's affinity mask (so `taskset` limits them), at most one per
-    item, and 1 (no fork) without fork or an affinity mask to count."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    item, and 1 (no fork) without memory files (os.memfd_create) or an
+    affinity mask to count, as off Linux."""
+    if not (hasattr(os, "memfd_create") and hasattr(os, "sched_getaffinity")):
         return 1
     return min(items, len(os.sched_getaffinity(0)))
 
@@ -183,12 +187,14 @@ def _worker_count(items: int) -> int:
 def _fork_map(fn, items) -> list:
     """[fn(item) for item in items], computed in _worker_count(len(items))
     contiguous shares: the calling process maps the first, and one
-    os.fork() child maps each other share and pickles its results back
-    through a pipe. Raises the exception the serial loop would: the first
-    in item order, or ChildProcessError for a child that ended without a
-    result. Every child is reaped before this returns or raises. Shares
-    no child could be forked for (no pipe or process to be had) are
-    mapped in the calling process, after the children's.
+    os.fork() child maps each other share and pickles its results into an
+    anonymous memory file, which the calling process reads once every
+    child has ended. Raises the exception the serial loop would: the
+    first in item order, or ChildProcessError for a child that ended
+    without a result. Every child is reaped and every memory file closed
+    before this returns or raises. Shares no child could be forked for (no
+    memory file or process to be had) are mapped in the calling process,
+    after the children's.
 
     fork copies only the calling thread, so a caller running threads of
     its own should pass a single item.
@@ -196,74 +202,46 @@ def _fork_map(fn, items) -> list:
     items = list(items)
     shares = max(1, _worker_count(len(items)))
     bounds = [len(items) * k // shares for k in range(shares + 1)]
-    children = []  # (pid, read end of its pipe), in item order
-    try:
-        for start, stop in zip(bounds[1:], bounds[2:]):
-            child = _fork_share(fn, items[start:stop], [read_end for _, read_end in children])
-            if child is None:
-                break
-            children.append(child)
-        results = [fn(item) for item in items[: bounds[1]]]
-        payloads = []
-        for _, read_end in children:
-            with open(read_end, "rb", closefd=False) as pipe:
-                payloads.append(pipe.read())
-    finally:
-        # every read end is closed before any wait, so a child still
-        # writing gets EPIPE and cannot hang the wait when this process
-        # raised early (no child holds another's read end)
-        for _, read_end in children:
-            os.close(read_end)
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    for (pid, _), payload, status in zip(children, payloads, statuses):
-        if status != 0 or not payload:
-            raise ChildProcessError(f"forked child {pid} ended without a result (wait status {status})")
-        share, error = pickle.loads(payload)
-        if error is not None:
-            raise error
-        results += share
+    children = []  # (pid, its memory file), in item order
+    with ExitStack() as memory_files:
+        try:
+            for start, stop in zip(bounds[1:], bounds[2:]):
+                try:
+                    memory = memory_files.enter_context(open(os.memfd_create("laneweave"), "w+b"))
+                    pid = os.fork()
+                except OSError:
+                    break
+                if pid == 0:
+                    _map_share_and_exit(fn, items[start:stop], memory)
+                children.append((pid, memory))
+            results = [fn(item) for item in items[: bounds[1]]]
+        finally:
+            statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+        for (pid, memory), status in zip(children, statuses):
+            memory.seek(0)
+            payload = memory.read()
+            if status != 0 or not payload:
+                raise ChildProcessError(f"forked child {pid} ended without a result (wait status {status})")
+            share, error = pickle.loads(payload)
+            if error is not None:
+                raise error
+            results += share
     return results + [fn(item) for item in items[bounds[len(children) + 1] :]]
 
 
-def _fork_share(fn, share: list, inherited: list[int]) -> tuple[int, int] | None:
-    """Fork a child that maps share: its pid and the read end of its pipe,
-    or None when os.pipe or os.fork fails with OSError (EMFILE, EAGAIN,
-    ENOMEM). The child closes the inherited read ends of earlier
-    children's pipes, so closing one in the parent reaches its writer."""
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    pid = None
-    try:
-        pid = os.fork()
-    except OSError:
-        return None
-    finally:
-        if pid is None:
-            os.close(read_end)
-            os.close(write_end)
-    if pid == 0:
-        _map_share_and_exit(fn, share, write_end, inherited + [read_end])
-    os.close(write_end)
-    return pid, read_end
-
-
-def _map_share_and_exit(fn, share: list, write_end: int, inherited: list[int]) -> NoReturn:
-    """In a forked child: close the inherited read ends, pickle (results,
-    None) or (None, the first exception) into the pipe, then leave by
-    os._exit, so the child never returns into the parent's code nor
-    flushes the parent's buffers."""
+def _map_share_and_exit(fn, share: list, memory: BinaryIO) -> NoReturn:
+    """In a forked child: pickle (results, None) or (None, the first
+    exception) into the memory file, then leave by os._exit, so the child
+    never returns into the parent's code nor flushes the parent's
+    buffers."""
     code = 1
     try:
-        for read_end in inherited:
-            os.close(read_end)
         try:
             outcome = [fn(item) for item in share], None
         except Exception as exc:
             outcome = None, exc
-        with open(write_end, "wb") as pipe:
-            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        pickle.dump(outcome, memory, pickle.HIGHEST_PROTOCOL)
+        memory.flush()
         code = 0
     finally:
         os._exit(code)

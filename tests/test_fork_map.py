@@ -107,8 +107,9 @@ def test_interrupt_in_the_calling_process_reaps_every_child():
 
 
 def test_error_in_the_calling_process_with_large_child_results_does_not_hang():
-    # each child's result is larger than a pipe's buffer, so a child
-    # blocks writing until its read end is closed in every process
+    # each child's result is larger than a pipe's 64 KiB buffer, so the
+    # channel that hands it back must take it whole without the calling
+    # process reading it, as that process raises before reading any
     def fn(item):
         if item == 0:
             raise ValueError("first tour")
@@ -127,16 +128,16 @@ def failing_on_call(real, call):
     process or descriptor to spare."""
     calls = []
 
-    def wrapper():
+    def wrapper(*args):
         calls.append(1)
         if len(calls) == call:
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-        return real()
+        return real(*args)
     return wrapper
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-@pytest.mark.parametrize("name", ["fork", "pipe"])
+@pytest.mark.parametrize("name", ["fork", "memfd_create"])
 @pytest.mark.parametrize("call", [1, 2])
 def test_shares_that_cannot_fork_are_mapped_in_the_calling_process(name, call):
     before = open_fds()
@@ -148,6 +149,26 @@ def test_shares_that_cannot_fork_are_mapped_in_the_calling_process(name, call):
     local = [0, 1] + ([2, 3] if call == 1 else []) + [4, 5]
     assert [item for item, (_, pid) in enumerate(results) if pid == os.getpid()] == local
     assert open_fds() == before
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_every_memory_file_is_closed_whatever_the_children_return():
+    def exits_at_3(item):
+        if item == 3:
+            os._exit(0)
+        return item
+
+    before = open_fds()
+    with shares(3):
+        assert _fork_map(tagged, range(6))
+        assert open_fds() == before
+        # the first child's error stops collection before the second's file
+        with pytest.raises(SchemaError):
+            _fork_map(failing_at({3, 5}), range(6))
+        assert open_fds() == before
+        with pytest.raises(ChildProcessError):
+            _fork_map(exits_at_3, range(6))
+        assert open_fds() == before
 
 
 @pytest.mark.parametrize("rows, first", [({3, 5}, 3), ({5}, 5), ({1, 5}, 1)])
@@ -178,3 +199,14 @@ def test_profile_text_and_forks_on_any_cpu_count(cpus):
             text = format_profile_csv(series)
         assert text == serial_profile_csv(series), rows
         assert fork.call_count == expected_forks, rows
+
+
+def test_without_memory_files_nothing_forks(monkeypatch):
+    # as off Linux: no os.memfd_create, so one share in the calling process
+    monkeypatch.delattr(os, "memfd_create")
+    assert pipeline._worker_count(5) == 1
+    series = OffsetSeries(0.2, np.random.default_rng(0).standard_normal(18000))
+    with mock.patch("os.fork", wraps=os.fork) as fork:
+        text = format_profile_csv(series)
+    assert text == serial_profile_csv(series)
+    assert fork.call_count == 0

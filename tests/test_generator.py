@@ -207,6 +207,14 @@ class TestAtomicWrite:
         assert path.read_text() == "t,x\n"
         assert os.listdir(tmp_path) == ["out.txt"]
 
+    def test_refused_write_removes_only_the_directories_it_made(self, tmp_path):
+        (tmp_path / "kept").mkdir()
+        path = tmp_path / "kept" / "newdir" / "sub" / ("p" * 300 + ".csv")
+        with pytest.raises(ArgumentUsageError, match="File name too long"):
+            atomic_write_text(path, "t,x\n")
+        assert os.listdir(tmp_path) == ["kept"]
+        assert os.listdir(tmp_path / "kept") == []
+
 
 def test_banded_transition_matches_hand_rows():
     t = banded_transition(3, 0.9)
