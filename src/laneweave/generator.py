@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import MasterSeed, ModelParams, OffsetSeries, seed_children
 from .errors import ArgumentUsageError, SchemaError
-from .markov import CoarseModel, discretize, sample_chain, smooth_values, state_centers
+from .markov import COPIED_SETTINGS, CoarseModel, discretize, sample_chain, smooth_values, state_centers
 from .noise import FineModel, generate_noise
 
 FORMAT_VERSION = 1
@@ -39,10 +39,9 @@ class TwoLevelModel:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.coarse.n_c != self.params.n_c:
-            raise ValueError("coarse model and params disagree on n_c")
-        if abs(self.coarse.dt - self.params.dt) > 1e-12:
-            raise ValueError("coarse model and params disagree on dt")
+        for name in COPIED_SETTINGS:
+            if getattr(self.coarse, name) != getattr(self.params, name):
+                raise ValueError(f"coarse model and params disagree on {name}")
 
 
 def derive_streams(seed: MasterSeed) -> tuple[np.random.Generator, np.random.Generator]:
@@ -199,13 +198,7 @@ def model_from_dict(doc: dict) -> TwoLevelModel:
             f"coarse.transition has {flat.size} entries, expected {params.n_c * params.n_c}"
         )
     try:
-        coarse = CoarseModel(
-            n_c=params.n_c,
-            dt=params.dt,
-            transition=flat.reshape(params.n_c, params.n_c),
-            smoothing_sigma=params.smoothing_sigma,
-            smoothing_support=params.smoothing_support,
-        )
+        coarse = CoarseModel.from_params(params, flat.reshape(params.n_c, params.n_c))
     except ValueError as exc:
         raise SchemaError(f"invalid coarse model: {exc}") from None
     centers = _require_floats(raw_coarse, "state_centers", "coarse section")

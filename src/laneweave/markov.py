@@ -11,10 +11,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SIGMA_FLOOR_STEPS
+from .core import SIGMA_FLOOR_STEPS, ModelParams
 from .errors import InsufficientDataError
 
 ROW_SUM_TOL = 1e-9
+# the ModelParams fields a CoarseModel holds a copy of
+COPIED_SETTINGS = ("n_c", "dt", "smoothing_sigma", "smoothing_support")
 
 
 def state_centers(n_c: int) -> np.ndarray:
@@ -130,6 +132,12 @@ class CoarseModel:
                 f"transition row {int(bad[0])} sums to {sums[bad[0]]!r}, expected 1"
             )
         object.__setattr__(self, "transition", transition)
+
+    @classmethod
+    def from_params(cls, params: ModelParams, transition) -> CoarseModel:
+        """The chain of params over the given transition matrix: the one
+        place the COPIED_SETTINGS are copied from params."""
+        return cls(transition=transition, **{name: getattr(params, name) for name in COPIED_SETTINGS})
 
     @cached_property
     def state_centers(self) -> np.ndarray:

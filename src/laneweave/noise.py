@@ -58,24 +58,13 @@ class FineModel:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumFit:
-    """Diagnostics of the spectral fit behind a FineModel."""
+    """Diagnostics of the spectral fit behind a FineModel, as fit_kernel
+    builds them: increasing knot frequencies and their gains, clipped at 0."""
 
     knot_frequencies: np.ndarray
     knot_values: np.ndarray
     window_count: int
     residual: float
-
-    def __post_init__(self):
-        kf = np.asarray(self.knot_frequencies, dtype=np.float64)
-        kv = np.asarray(self.knot_values, dtype=np.float64)
-        if kf.size != kv.size or kf.size < 2:
-            raise ValueError("need matching knot frequency/value arrays of length >= 2")
-        if np.any(np.diff(kf) <= 0):
-            raise ValueError("knot frequencies must be strictly increasing")
-        if np.any(kv < 0):
-            raise ValueError("knot values must be nonnegative")
-        object.__setattr__(self, "knot_frequencies", kf)
-        object.__setattr__(self, "knot_values", kv)
 
 
 def measured_coarse(x: np.ndarray, params: ModelParams) -> OffsetSeries:

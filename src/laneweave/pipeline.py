@@ -26,7 +26,7 @@ from typing import BinaryIO, NoReturn
 
 import numpy as np
 
-from .core import DriveLog, OffsetSeries, RunConfig
+from .core import MAX_MAGNITUDE, DriveLog, OffsetSeries, RunConfig
 from .errors import ArgumentUsageError, InsufficientDataError, SchemaError
 from .generator import TwoLevelModel, coarse_profile, generate_profile, read_input
 from .markov import CoarseModel, count_transitions, discretize, transitions_from_counts
@@ -81,7 +81,9 @@ def read_drive_log_csv(path) -> DriveLog:
             _raise_first_error(path, header, lines)
         table[:, start : start + len(cells) // width] = chunk.reshape(-1, width).T
     t = table[0]
-    if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+    # the magnitude bound (which NaN fails) goes first, so that neither the
+    # steps np.diff takes nor the span resample sizes its grid from overflow
+    if not ((np.abs(t) <= MAX_MAGNITUDE).all() and (np.diff(t) > 0).all()):
         _raise_first_error(path, header, lines)
 
     return DriveLog(
@@ -124,6 +126,13 @@ def _raise_first_error(path: Path, header: tuple, lines: list[str]) -> NoReturn:
         if not math.isfinite(t):
             raise SchemaError(
                 f"{path}: row {row_number}: timestamp {t!r} is not finite",
+                column="t",
+                row=row_number,
+            )
+        if abs(t) > MAX_MAGNITUDE:
+            raise SchemaError(
+                f"{path}: row {row_number}, column 't': "
+                f"timestamp {t!r} has magnitude above {MAX_MAGNITUDE:g}",
                 column="t",
                 row=row_number,
             )
@@ -267,13 +276,7 @@ def calibrate_from_segments(
     params = config.model_params()
     state_segments = [discretize(seg.series.values, params.n_c) for seg in segments]
     counts = count_transitions(state_segments, params.n_c)
-    coarse = CoarseModel(
-        n_c=params.n_c,
-        dt=params.dt,
-        transition=transitions_from_counts(counts),
-        smoothing_sigma=params.smoothing_sigma,
-        smoothing_support=params.smoothing_support,
-    )
+    coarse = CoarseModel.from_params(params, transitions_from_counts(counts))
     capped = [cap(extract_fine(seg.series, params), params.cap_threshold) for seg in segments]
     fine, fit = fit_kernel(
         capped, params, knot_count=config.knot_count, window_length=config.window_length

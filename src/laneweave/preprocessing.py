@@ -76,8 +76,12 @@ def resample(log: DriveLog, target_rate: float) -> ResampledTrack:
 
     def lerp(column: np.ndarray) -> np.ndarray:
         # Exact grid hits take the sample value directly; this keeps a NaN
-        # neighbor from poisoning the multiply and the value bit-exact.
-        blended = (1.0 - weight) * column[left] + weight * column[left + 1]
+        # neighbor from poisoning the multiply and the value bit-exact. An
+        # infinite velocity (its sample is invalid) or two near float max
+        # may blend to NaN or overflow: at such a grid point the offset is
+        # NaN, or the speed past v_min either way, so numpy's warning is noise.
+        with np.errstate(invalid="ignore", over="ignore"):
+            blended = (1.0 - weight) * column[left] + weight * column[left + 1]
         return np.where(on_left, column[left], np.where(on_right, column[left + 1], blended))
 
     return ResampledTrack(

@@ -15,10 +15,6 @@ from .generator import TwoLevelModel, generate_profile
 from .markov import CoarseModel
 from .noise import FineModel, kernel_from_damping
 
-# in the order synth --help lists them
-TRANSITION_FAMILIES = ("banded", "uniform", "identity")
-KERNEL_FAMILIES = ("reference", "zero", "identity")
-
 # Flat-then-decaying gain over [0, Nyquist]: the jitter spectrum of the
 # reference kernel family.
 REFERENCE_DAMPING = (1.0, 1.0, 0.8, 0.5, 0.3, 0.2)
@@ -55,6 +51,23 @@ def reference_kernel_taps(params: ModelParams) -> np.ndarray:
     return kernel_from_damping(knot_freqs, np.asarray(REFERENCE_DAMPING), params.dt)
 
 
+# builders of each family's transition matrix, from (n_c, stay
+# probability), and of each kernel's taps, from the model parameters
+TRANSITION_BUILDERS = {
+    "banded": banded_transition,
+    "uniform": lambda n_c, p: np.full((n_c, n_c), 1.0 / n_c),
+    "identity": lambda n_c, p: np.eye(n_c),
+}
+KERNEL_BUILDERS = {
+    "reference": reference_kernel_taps,
+    "zero": lambda params: np.zeros(1),
+    "identity": lambda params: np.ones(1),
+}
+# in the order synth --help lists them
+TRANSITION_FAMILIES = tuple(TRANSITION_BUILDERS)
+KERNEL_FAMILIES = tuple(KERNEL_BUILDERS)
+
+
 def make_model(spec: SyntheticSpec) -> TwoLevelModel:
     """Deterministic ground-truth model for the given recipe."""
     try:
@@ -64,40 +77,22 @@ def make_model(spec: SyntheticSpec) -> TwoLevelModel:
     # checked for every family: each writes it into the model's metadata
     if not 0.0 <= spec.stay_probability <= 1.0:
         raise ArgumentUsageError(f"stay probability {spec.stay_probability!r} outside [0, 1]")
-
-    if spec.family == "banded":
-        transition = banded_transition(spec.n_c, spec.stay_probability)
-    elif spec.family == "identity":
-        transition = np.eye(spec.n_c)
-    elif spec.family == "uniform":
-        transition = np.full((spec.n_c, spec.n_c), 1.0 / spec.n_c)
-    else:
+    if spec.family not in TRANSITION_FAMILIES:
         raise ArgumentUsageError(
             f"unknown transition family {spec.family!r}; valid: {', '.join(TRANSITION_FAMILIES)}"
         )
-
-    if spec.kernel == "reference":
-        taps = reference_kernel_taps(params)
-    elif spec.kernel == "zero":
-        taps = np.zeros(1)
-    elif spec.kernel == "identity":
-        taps = np.ones(1)
-    else:
+    if spec.kernel not in KERNEL_FAMILIES:
         raise ArgumentUsageError(
             f"unknown kernel family {spec.kernel!r}; valid: {', '.join(KERNEL_FAMILIES)}"
         )
-
-    try:
-        coarse = CoarseModel(
-            n_c=spec.n_c,
-            dt=spec.dt,
-            transition=transition,
-            smoothing_sigma=params.smoothing_sigma,
-            smoothing_support=params.smoothing_support,
-        )
-        fine = FineModel(kernel_taps=taps, noise_halfwidth=params.cap_threshold)
-    except ValueError as exc:
-        raise ArgumentUsageError(str(exc)) from None
+    # every spec that passes the checks above builds valid parts: each
+    # family's rows sum to 1 within ROW_SUM_TOL, and ModelParams keeps the
+    # default 1 s smoothing support within 500 steps, so dt >= 0.002 and
+    # the reference kernel has at most 2001 taps
+    transition = TRANSITION_BUILDERS[spec.family](spec.n_c, spec.stay_probability)
+    coarse = CoarseModel.from_params(params, transition)
+    taps = KERNEL_BUILDERS[spec.kernel](params)
+    fine = FineModel(kernel_taps=taps, noise_halfwidth=params.cap_threshold)
 
     metadata = {
         "source": "synthetic",

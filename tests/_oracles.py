@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from laneweave.core import DriveLog
+from laneweave.core import MAX_MAGNITUDE, DriveLog
 from laneweave.errors import SchemaError
 from laneweave.evaluation import QUANTILE_LADDER
 
@@ -151,6 +151,13 @@ def brute_force_read_drive_log_csv(path):
         if not math.isfinite(t):
             raise SchemaError(
                 f"{path}: row {row_number}: timestamp {t!r} is not finite",
+                column="t",
+                row=row_number,
+            )
+        if abs(t) > MAX_MAGNITUDE:
+            raise SchemaError(
+                f"{path}: row {row_number}, column 't': "
+                f"timestamp {t!r} has magnitude above {MAX_MAGNITUDE:g}",
                 column="t",
                 row=row_number,
             )

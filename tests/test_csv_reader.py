@@ -84,6 +84,11 @@ class TestMatchesOracle:
             HEADER + "\nnan,abc,1.8\n",
             HEADER + "\n0.4,1.8,1.8,80\n0.2,abc,1.8,80\n",
             HEADER + "\n0.4,1.8,1.8,80\n0.2,1.8,1.8,80\n0.6,abc,1.8,80\n",
+            # timestamps past MAX_MAGNITUDE, whose steps or span would
+            # overflow; 1e150 itself is within it
+            HEADER + "\n-1e308,1.8,1.8,80\n1e308,1.8,1.8,80\n",
+            HEADER + "\n0.0,1.8,1.8,80\n1.7e308,1.8,1.8,80\n",
+            HEADER + "\n1e150,1.8,1.8,80\n2e150,1.8,1.8,80\n",
         ],
     )
     def test_explicit_cases(self, tmp_path, text):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import stat
@@ -18,7 +19,7 @@ from laneweave.generator import (
     model_to_dict,
     save_model,
 )
-from laneweave.markov import CoarseModel, discretize
+from laneweave.markov import COPIED_SETTINGS, CoarseModel, discretize
 from laneweave.noise import generate_noise
 from laneweave.synthetic import SyntheticSpec, banded_transition, make_model
 
@@ -85,25 +86,31 @@ class TestGenerateProfile:
             generate_profile(reference_model, 0.0, 0.05, 0)
 
 class TestModelConsistency:
-    def test_n_c_mismatch_rejected(self, reference_model):
-        params = ModelParams(n_c=10)
-        with pytest.raises(ValueError):
+    # params differing from the coarse model's copy in one setting each
+    @pytest.mark.parametrize(
+        "changes",
+        [{"n_c": 10}, {"dt": 0.1, "sample_rate": 10.0}, {"smoothing_sigma": 0.2}, {"smoothing_support": 2.0}],
+        ids=COPIED_SETTINGS,
+    )
+    def test_copied_setting_mismatch_rejected(self, reference_model, changes):
+        name = next(iter(changes))
+        params = dataclasses.replace(reference_model.params, **changes)
+        with pytest.raises(ValueError, match=f"^coarse model and params disagree on {name}$"):
             TwoLevelModel(params, reference_model.coarse, reference_model.fine)
-
-    def test_dt_mismatch_rejected(self, reference_model):
-        coarse = reference_model.coarse
-        bad_coarse = CoarseModel(
-            n_c=coarse.n_c,
-            dt=0.1,
-            transition=coarse.transition,
-            smoothing_sigma=coarse.smoothing_sigma,
-            smoothing_support=coarse.smoothing_support,
-        )
-        with pytest.raises(ValueError, match="dt"):
-            TwoLevelModel(reference_model.params, bad_coarse, reference_model.fine)
 
 
 class TestPersistence:
+    def test_from_params_model_round_trips_to_the_same_bytes(self, reference_model, tmp_path):
+        # settings off the defaults, so that a setting lost on the way shows
+        params = ModelParams(n_c=7, dt=0.25, sample_rate=4.0, smoothing_sigma=0.3, smoothing_support=0.75)
+        coarse = CoarseModel.from_params(params, banded_transition(7, 0.8))
+        model = TwoLevelModel(params, coarse, reference_model.fine)
+        save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        assert [getattr(loaded.coarse, name) for name in COPIED_SETTINGS] == [7, 0.25, 0.3, 0.75]
+        a = generate_profile(model, 0.1, 60.0, 5).values
+        assert a.tobytes() == generate_profile(loaded, 0.1, 60.0, 5).values.tobytes()
+
     def test_round_trip_profiles_bit_identical(self, reference_model, tmp_path):
         path = tmp_path / "model.json"
         save_model(reference_model, path)

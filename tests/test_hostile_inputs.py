@@ -84,6 +84,8 @@ def files(tmp_path_factory):
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
         return path
 
+    no_v_min = json.loads(json.dumps(good))
+    del no_v_min["params"]["v_min"]
     # taps of L1 norm 2 under a halfwidth that puts the output bound just
     # under, or just over, MAX_MAGNITUDE
     taps = np.array(good["fine"]["kernel_taps"])
@@ -101,6 +103,8 @@ def files(tmp_path_factory):
             text_file("binary.csv", header.encode() + b"\xff\xfe,1,1,80\n"),
             text_file("nan_t.csv", header + "nan,1.8,1.8,80\n0.2,1.8,1.8,80\n"),
             text_file("long_span.csv", header + "0,1.8,1.8,80\n1e12,1.8,1.8,80\n"),
+            # timestamps whose step, and span, overflow float64
+            text_file("huge_t.csv", header + "-1e308,1.8,1.8,80\n1e308,1.8,1.8,80\n"),
             text_file("short_row.csv", header + "0,1.8,1.8\n0.2,1.8,1.8,80,1,2\n"),
             text_file("slow.csv", header + "".join(f"{k * 0.2!r},1.8,1.8,20\n" for k in range(300))),
             root / "missing.csv",
@@ -131,6 +135,7 @@ def files(tmp_path_factory):
                           smoothing_sigma=1e-200, smoothing_support=1e-200),
             model_variant("huge_dt", "params", dt=1e200, sample_rate=1e-200,
                           smoothing_sigma=1e200, smoothing_support=1e200),
+            text_file("model_no_v_min.json", json.dumps(no_v_min)),
             text_file("model_truncated.json", model.read_text()[:200]),
             text_file("model_deep.json", "[" * 100_000),
             text_file("model_list.json", "[]"),
@@ -268,7 +273,19 @@ MALFORMED = [
                                     "--out", "{root}/" + "p" * 300 + ".csv"], 2),
     ("evaluate_out_name_too_long", ["evaluate", "--model", "{root}/model.json", "--input", "{root}/tour.csv",
                                     "--out", "{root}/" + "r" * 300], 2),
+    ("calibrate_no_segments", ["calibrate", "--input", "{root}/slow.csv"], 4),
+    ("config_not_an_object", ["calibrate", "--input", "{root}/tour.csv", "--config", "{root}/config_list.json"], 3),
+    ("model_params_missing_field", ["generate", "--model", "{root}/model_no_v_min.json", "--x0", "0",
+                                    "--duration", "10"], 3),
+    ("tour_timestamps_overflow", ["calibrate", "--input", "{root}/huge_t.csv"], 3),
 ]
+# the error line of the cases whose refusal no other test names
+MALFORMED_MESSAGES = {
+    "calibrate_no_segments": "no road-following segments in the input data",
+    "config_not_an_object": "config file must hold a JSON object",
+    "model_params_missing_field": "params section is missing field 'v_min'",
+    "tour_timestamps_overflow": "row 1, column 't': timestamp -1e+308 has magnitude above 1e+150",
+}
 
 
 @pytest.mark.parametrize("name, argv, expected", MALFORMED, ids=[case[0] for case in MALFORMED])
@@ -281,6 +298,7 @@ def test_malformed_input_is_refused(files, name, argv, expected):
     assert code == expected, stderr
     lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), stderr
+    assert MALFORMED_MESSAGES.get(name, "") in lines[0]
     # synth writes its tour before the refused model file
     assert not out.exists() or name == "synth_model_out_directory"
     assert not list(root.rglob("*.tmp")) and not list((root / "a_directory").iterdir())

@@ -81,6 +81,12 @@ class TestResample:
         assert np.isfinite(track.offsets).tolist() == [True, False, False, True]
         assert not np.isnan(track.offsets[0])
 
+    def test_infinite_velocity_beside_a_grid_hit_warns_nothing(self):
+        # 0 * inf in the blend of an exact hit is a numpy invalid-value
+        # warning, which the test configuration turns into an error
+        log = log_from_offsets([0.0, 0.2, 0.4], [0.0, 0.0, 0.0], [100.0, np.inf, 100.0])
+        assert resample(log, 5.0).velocity.tolist() == [100.0, np.inf, 100.0]
+
     def test_idempotent_on_target_grid(self):
         rng = np.random.default_rng(8)
         offsets = rng.uniform(-0.45, 0.45, 200)

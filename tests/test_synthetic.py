@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from laneweave.core import ModelParams, relative_offset
+from laneweave.core import MAX_N_C, ModelParams, relative_offset
 from laneweave.errors import ArgumentUsageError
 from laneweave.generator import generate_profile
 from laneweave.synthetic import (
+    KERNEL_FAMILIES,
     TRANSITION_FAMILIES,
     SyntheticSpec,
     banded_transition,
@@ -52,6 +54,24 @@ class TestTransitionFamilies:
             for p in (-0.1, 1.5, math.nan, math.inf):
                 with pytest.raises(ArgumentUsageError, match="stay probability"):
                     make_model(SyntheticSpec(family=family, stay_probability=p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(TRANSITION_FAMILIES),
+    kernel=st.sampled_from(KERNEL_FAMILIES),
+    n_c=st.integers(2, MAX_N_C),
+    # ModelParams takes dt in [0.002, 1] with the default 1 s smoothing support
+    dt=st.floats(0.0019, 1.01),
+    p=st.floats(0.0, 1.0),
+)
+def test_every_spec_that_passes_the_checks_builds_its_model(family, kernel, n_c, dt, p):
+    try:
+        ModelParams(n_c=n_c, dt=dt, sample_rate=1.0 / dt)
+    except ValueError:
+        assume(False)
+    model = make_model(SyntheticSpec(n_c=n_c, dt=dt, family=family, stay_probability=p, kernel=kernel))
+    assert model.coarse.transition.shape == (n_c, n_c) and model.params.dt == dt
 
 
 class TestKernelFamilies:
