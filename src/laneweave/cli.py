@@ -17,9 +17,15 @@ import numpy as np
 from .core import ModelParams, RunConfig, check_seed
 from .errors import ArgumentUsageError, InsufficientDataError, LaneweaveError, SchemaError
 from .evaluation import evaluate, parse_modes, report_json, summarize, window_steps
-from .generator import atomic_write_text, generate_profile, load_model, read_input, save_model
-from .pipeline import (
+from .generator import (
+    atomic_write_text,
     bench_generation,
+    generate_profile,
+    load_model,
+    read_input,
+    save_model,
+)
+from .pipeline import (
     calibrate_from_segments,
     format_drive_log_csv,
     format_profile_csv,
@@ -56,7 +62,7 @@ def resolve_config(args: argparse.Namespace, base: ModelParams | None = None) ->
     names = {f.name for f in fields(RunConfig)}
     config_path = getattr(args, "config", None)
     if config_path:
-        document = read_input(config_path, "config", as_json=True)
+        document = read_input(config_path, "config")
         if not isinstance(document, dict):
             raise SchemaError("config file must hold a JSON object")
         for key, value in document.items():

@@ -1,6 +1,6 @@
-"""Compose the drift and jitter models into full offset profiles,
-persist calibrated models as versioned JSON documents, and read and
-write the files around them."""
+"""Compose the drift and jitter models into full offset profiles and
+time their generation, persist calibrated models as versioned JSON
+documents, and read and write the files around them."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ import json
 import math
 import os
 import tempfile
-from contextlib import suppress
+import time
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from itertools import takewhile
 from pathlib import Path
@@ -24,6 +25,9 @@ FORMAT_VERSION = 1
 # Longest profile generate_profile builds: about 23 days at 5 Hz. Each
 # step holds a few float64 working arrays, and its CSV row ~40 bytes.
 MAX_PROFILE_STEPS = 10_000_000
+# Largest model or config file read (64 MiB): the largest valid model
+# file, n_c = 1000 with 21-character entries at indent=2, is about 27 MB.
+MAX_INPUT_BYTES = 64 << 20
 
 # the snippet duration describes the evaluated data, not the model
 _PARAM_FILE_FIELDS = tuple(f.name for f in fields(ModelParams) if f.name != "snippet_duration")
@@ -86,6 +90,52 @@ def generate_profile(
     return OffsetSeries(params.dt, drift + jitter)
 
 
+def bench_generation(model: TwoLevelModel, steps: int, repetitions: int) -> dict:
+    """Wall times for full, drift-only, and jitter-only generation.
+
+    Phase times are best-of-N; the offline-noise saving is the median of
+    the per-repetition paired (full - coarse) differences, which keeps
+    its sign meaningful when scheduler noise exceeds the jitter share.
+    The pair runs full first in even repetitions and coarse first in odd
+    ones, so a host slowing down or speeding up within a pair does not
+    bias every difference the same way.
+    """
+    if steps < 1 or repetitions < 1:
+        raise ArgumentUsageError("steps and repetitions must be positive")
+    params = model.params
+    duration = steps * params.dt
+    initial_state = discretize(0.0, params.n_c)
+    generate_profile(model, 0.0, duration, 0)  # warm-up
+    full = coarse = noise = float("inf")
+    paired_diffs = []
+    for rep in range(repetitions):
+        times = {}
+        for phase in ("full", "coarse") if rep % 2 == 0 else ("coarse", "full"):
+            start = time.perf_counter()
+            if phase == "full":
+                generate_profile(model, 0.0, duration, rep)
+            else:
+                coarse_profile(model, initial_state, steps, np.random.default_rng(rep))
+            times[phase] = time.perf_counter() - start
+
+        start = time.perf_counter()
+        generate_noise(model.fine, steps, np.random.default_rng(rep))
+        noise = min(noise, time.perf_counter() - start)
+
+        full = min(full, times["full"])
+        coarse = min(coarse, times["coarse"])
+        paired_diffs.append(times["full"] - times["coarse"])
+    return {
+        "steps": steps,
+        "repetitions": repetitions,
+        "full_s": full,
+        "coarse_s": coarse,
+        "noise_s": noise,
+        "saving_s": float(np.median(paired_diffs)),
+        "speedup_vs_realtime": duration / full,
+    }
+
+
 def _current_umask() -> int:
     mask = os.umask(0)
     os.umask(mask)
@@ -126,17 +176,29 @@ def atomic_write_text(path, text: str) -> None:
                 parent.rmdir()
 
 
-def read_input(path, kind: str, *, as_json: bool = False):
-    """Text of an input file, or with as_json the JSON document it holds.
-    A missing, unreadable, non-UTF-8 or (with as_json) malformed file
-    raises SchemaError with a message naming the kind of file."""
+@contextmanager
+def input_errors(path, kind: str):
+    """Turn a missing, unreadable or non-UTF-8 input file into SchemaError
+    naming the kind of file."""
     try:
-        text = Path(path).read_text()
-        return json.loads(text) if as_json else text
+        yield
     except FileNotFoundError:
         raise SchemaError(f"{kind} file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {kind} file {path}: {exc}") from None
+
+
+def read_input(path, kind: str):
+    """The JSON document a model or config file holds. A missing,
+    unreadable, non-UTF-8, malformed or oversized file (past
+    MAX_INPUT_BYTES, checked before it is read) raises SchemaError with a
+    message naming the kind of file."""
+    with input_errors(path, kind):
+        if os.stat(path).st_size > MAX_INPUT_BYTES:
+            raise SchemaError(f"{kind} file {path} is larger than {MAX_INPUT_BYTES} bytes")
+        text = Path(path).read_text()
+    try:
+        return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{kind} file is not valid JSON: {exc}") from None
 
@@ -229,4 +291,4 @@ def save_model(model: TwoLevelModel, destination) -> None:
 
 
 def load_model(source) -> TwoLevelModel:
-    return model_from_dict(read_input(Path(source), "model", as_json=True))
+    return model_from_dict(read_input(Path(source), "model"))

@@ -1,5 +1,5 @@
 """The file-level pipeline: tour CSVs in, segments, calibrated models and
-CSV text out, plus the generation timing bench.
+CSV text out.
 
 `_fork_map` is the one place the package uses more than one process: it
 maps the tours of ingest_segments, and the row ranges of a long profile
@@ -17,25 +17,32 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import time
 from contextlib import ExitStack
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import BinaryIO, NoReturn
 
 import numpy as np
 
 from .core import MAX_MAGNITUDE, DriveLog, OffsetSeries, RunConfig
-from .errors import ArgumentUsageError, InsufficientDataError, SchemaError
-from .generator import TwoLevelModel, coarse_profile, generate_profile, read_input
+from .errors import InsufficientDataError, SchemaError
+from .generator import TwoLevelModel, input_errors
 from .markov import CoarseModel, count_transitions, discretize, transitions_from_counts
-from .noise import cap, extract_fine, fit_kernel, generate_noise
+from .noise import cap, extract_fine, fit_kernel
 from .preprocessing import Segment, extract_segments, resample
 
 CSV_COLUMNS = ("t", "dist_left", "dist_right", "v_lon")
 # rows parsed per float() pass; bounds the transient list of cell strings
 CSV_CHUNK_ROWS = 1024
+# characters of tour text read at a time: some 800 rows of a 50-minute tour
+CSV_BLOCK_CHARS = 1 << 16
+# Most rows a tour may number (blank lines count), like MAX_GRID_POINTS;
+# its parsed columns hold 40 bytes per row with lane_id.
+MAX_TOUR_ROWS = 10_000_000
+# Longest tour line, so that no line is held whole before it is refused;
+# a row of five float reprs takes at most about 120 characters.
+MAX_LINE_CHARS = 4096
 # fewest profile rows a share formats: timing the writer alone on a shared
 # 2-vCPU Xeon host, two shares took 8192 rows from 20.2 to 17.9 ms, but
 # 4096 rows from 10.4 to 11.3 ms, the fork and the hand-back of the text
@@ -47,16 +54,25 @@ def read_drive_log_csv(path) -> DriveLog:
     """Parse one tour CSV; structural problems raise SchemaError naming
     the offending column and 1-based data row.
 
-    Blank lines are skipped (they still count in row numbers) and an
-    empty lane_id cell means unknown (NaN). Every cell goes through
-    float(), a chunk of rows at a time; on any failure the rows are
-    checked again one by one to report the first error in file order.
+    The file is read CSV_BLOCK_CHARS characters at a time (see
+    _tour_lines), so that what is held beyond the parsed columns is one
+    block of text and its lines. Blank lines are skipped (they still count
+    in row numbers) and an empty lane_id cell means unknown (NaN). Every
+    cell goes through float(), a chunk of rows at a time, and each
+    column's values are appended to a bytearray, which grows in place and
+    which the returned log's column then views without a copy. On any
+    failure, a block past MAX_TOUR_ROWS or MAX_LINE_CHARS included, the
+    file is read again and its rows checked one by one to report the
+    first error in file order.
     """
     path = Path(path)
-    lines = read_input(path, "input").splitlines()
-    if not lines:
+    blocks = _tour_lines(path)
+    first = next(blocks, None)
+    if first is None:
         raise SchemaError(f"{path}: empty file, expected a header row")
-    header = tuple(cell.strip() for cell in lines[0].split(","))
+    if len(first[0]) > MAX_LINE_CHARS:
+        raise SchemaError(f"{path}: header is longer than {MAX_LINE_CHARS} characters", row=0)
+    header = tuple(cell.strip() for cell in first[0].split(","))
     if header not in (CSV_COLUMNS, CSV_COLUMNS + ("lane_id",)):
         raise SchemaError(
             f"{path}: header must be {','.join(CSV_COLUMNS)}[,lane_id], got {','.join(header)}"
@@ -64,43 +80,85 @@ def read_drive_log_csv(path) -> DriveLog:
     width = len(header)
     has_lane = width == len(CSV_COLUMNS) + 1
 
-    rows = list(filter(str.strip, lines[1:]))
-    # per row, not in total: a short row followed by a long one would
-    # otherwise shift every later cell into the wrong column
-    if list(map(str.count, rows, repeat(","))).count(width - 1) != len(rows):
-        _raise_first_error(path, header, lines)
-    table = np.empty((width, len(rows)), dtype=np.float64)
-    for start in range(0, len(rows), CSV_CHUNK_ROWS):
-        cells = ",".join(rows[start : start + CSV_CHUNK_ROWS]).split(",")
-        if has_lane:
-            lanes = cells[width - 1 :: width]
-            cells[width - 1 :: width] = [c if c.strip() else "nan" for c in lanes]
-        try:
-            chunk = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-        except ValueError:
-            _raise_first_error(path, header, lines)
-        table[:, start : start + len(cells) // width] = chunk.reshape(-1, width).T
-    t = table[0]
-    # the magnitude bound (which NaN fails) goes first, so that neither the
-    # steps np.diff takes nor the span resample sizes its grid from overflow
-    if not ((np.abs(t) <= MAX_MAGNITUDE).all() and (np.diff(t) > 0).all()):
-        _raise_first_error(path, header, lines)
+    columns = [bytearray() for _ in header]
+    last_t = -math.inf
+    row = 0  # of the last line read
+    for lines in chain([first[1:]], blocks):
+        row += len(lines)
+        if row > MAX_TOUR_ROWS or max(map(len, lines), default=0) > MAX_LINE_CHARS:
+            _raise_first_error(path, header)
+        rows = list(filter(str.strip, lines))
+        for start in range(0, len(rows), CSV_CHUNK_ROWS):
+            chunk = rows[start : start + CSV_CHUNK_ROWS]
+            # per row, not in total: a short row followed by a long one
+            # would otherwise shift every later cell into the wrong column
+            if list(map(str.count, chunk, repeat(","))).count(width - 1) != len(chunk):
+                _raise_first_error(path, header)
+            cells = ",".join(chunk).split(",")
+            column_cells = [cells[k::width] for k in range(width)]
+            if has_lane:
+                column_cells[-1] = [c if c.strip() else "nan" for c in column_cells[-1]]
+            try:
+                values = [np.fromiter(map(float, c), np.float64, len(chunk)) for c in column_cells]
+            except ValueError:
+                _raise_first_error(path, header)
+            t = values[0]
+            # the magnitude bound (which NaN fails) goes first, so that no
+            # step between timestamps, nor the span resample sizes its grid
+            # from, overflows
+            if not ((np.abs(t) <= MAX_MAGNITUDE).all() and t[0] > last_t and (t[1:] > t[:-1]).all()):
+                _raise_first_error(path, header)
+            last_t = t[-1]
+            for column, column_values in zip(columns, values):
+                column += column_values.tobytes()
 
-    return DriveLog(
-        t=t,
-        dist_left=table[1],
-        dist_right=table[2],
-        v_lon=table[3],
-        lane_id=table[4] if has_lane else None,
-        tour_id=path.stem,
-    )
+    # the header's columns are DriveLog's fields, in order
+    return DriveLog(*map(np.frombuffer, columns), tour_id=path.stem)
 
 
-def _raise_first_error(path: Path, header: tuple, lines: list[str]) -> NoReturn:
-    """Check the data rows one by one and raise the first SchemaError in
-    file order: field count, then each cell, then the timestamp."""
+def _tour_lines(path: Path):
+    """The lines of a tour file, in non-empty lists, about one per
+    CSV_BLOCK_CHARS characters read: the pieces str.splitlines() cuts the
+    file's universal-newline text into, in file order, the header first,
+    except that a line is cut once it is past MAX_LINE_CHARS, so that no
+    line is held whole past the bound. A missing, unreadable or non-UTF-8
+    file raises SchemaError as generator.read_input does, the codec's
+    byte position counting from the start of the buffer it decoded."""
+    with input_errors(path, "input"), open(path) as file:
+        tail = ""
+        while True:
+            block = file.read(CSV_BLOCK_CHARS)
+            lines = (tail + block).splitlines()
+            # a block that ends inside a line (a line break splits to [""])
+            # leaves that line's start for the next, unless it is already
+            # too long; at the end of the file it is the last line
+            inside = block and block[-1].splitlines()[0]
+            tail = lines.pop() if inside and len(lines[-1]) <= MAX_LINE_CHARS else ""
+            if lines:
+                yield lines
+            if not block:
+                return
+
+
+def _raise_first_error(path: Path, header: tuple) -> NoReturn:
+    """Read the file again and check its data rows one by one, raising
+    the first SchemaError in file order: a row number past MAX_TOUR_ROWS
+    or a line past MAX_LINE_CHARS (blank lines count), then field count,
+    each cell, and the timestamp."""
+    lines = chain.from_iterable(_tour_lines(path))
+    next(lines, None)  # the header
     previous_t = None
-    for row_number, line in enumerate(lines[1:], start=1):
+    for row_number, line in enumerate(lines, start=1):
+        if row_number > MAX_TOUR_ROWS:
+            raise SchemaError(
+                f"{path}: row {row_number} is past the {MAX_TOUR_ROWS} rows a tour may hold",
+                row=row_number,
+            )
+        if len(line) > MAX_LINE_CHARS:
+            raise SchemaError(
+                f"{path}: row {row_number} is longer than {MAX_LINE_CHARS} characters",
+                row=row_number,
+            )
         if not line.strip():
             continue
         cells = line.split(",")
@@ -143,6 +201,7 @@ def _raise_first_error(path: Path, header: tuple, lines: list[str]) -> NoReturn:
                 row=row_number,
             )
         previous_t = t
+    raise SchemaError(f"cannot read input file {path}: it changed while it was read")
 
 
 def format_drive_log_csv(log: DriveLog) -> str:
@@ -301,49 +360,3 @@ def calibrate_from_segments(
         "knot_values": fit.knot_values.tolist(),
     }
     return model, summary
-
-
-def bench_generation(model: TwoLevelModel, steps: int, repetitions: int) -> dict:
-    """Wall times for full, drift-only, and jitter-only generation.
-
-    Phase times are best-of-N; the offline-noise saving is the median of
-    the per-repetition paired (full - coarse) differences, which keeps
-    its sign meaningful when scheduler noise exceeds the jitter share.
-    The pair runs full first in even repetitions and coarse first in odd
-    ones, so a host slowing down or speeding up within a pair does not
-    bias every difference the same way.
-    """
-    if steps < 1 or repetitions < 1:
-        raise ArgumentUsageError("steps and repetitions must be positive")
-    params = model.params
-    duration = steps * params.dt
-    initial_state = discretize(0.0, params.n_c)
-    generate_profile(model, 0.0, duration, 0)  # warm-up
-    full = coarse = noise = float("inf")
-    paired_diffs = []
-    for rep in range(repetitions):
-        times = {}
-        for phase in ("full", "coarse") if rep % 2 == 0 else ("coarse", "full"):
-            start = time.perf_counter()
-            if phase == "full":
-                generate_profile(model, 0.0, duration, rep)
-            else:
-                coarse_profile(model, initial_state, steps, np.random.default_rng(rep))
-            times[phase] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        generate_noise(model.fine, steps, np.random.default_rng(rep))
-        noise = min(noise, time.perf_counter() - start)
-
-        full = min(full, times["full"])
-        coarse = min(coarse, times["coarse"])
-        paired_diffs.append(times["full"] - times["coarse"])
-    return {
-        "steps": steps,
-        "repetitions": repetitions,
-        "full_s": full,
-        "coarse_s": coarse,
-        "noise_s": noise,
-        "saving_s": float(np.median(paired_diffs)),
-        "speedup_vs_realtime": duration / full,
-    }

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from laneweave import pipeline
 from laneweave.core import MAX_MAGNITUDE, DriveLog
 from laneweave.errors import SchemaError
 from laneweave.evaluation import QUANTILE_LADDER
@@ -103,9 +104,27 @@ def brute_force_chain_path(cum_rows, initial_state, uniforms):
     return out
 
 
+def _check_line_bounds(path, row_number, line):
+    """The tour reader's bounds on one line (row 0 is the header), read
+    from the pipeline module when called, so that a test patching them
+    patches both readers."""
+    if row_number > pipeline.MAX_TOUR_ROWS:
+        raise SchemaError(
+            f"{path}: row {row_number} is past the {pipeline.MAX_TOUR_ROWS} rows a tour may hold",
+            row=row_number,
+        )
+    if len(line) > pipeline.MAX_LINE_CHARS:
+        where = f"row {row_number}" if row_number else "header"
+        raise SchemaError(
+            f"{path}: {where} is longer than {pipeline.MAX_LINE_CHARS} characters",
+            row=row_number,
+        )
+
+
 def brute_force_read_drive_log_csv(path):
-    """The row-by-row tour CSV reader: every cell stripped and put through
-    float() one at a time, checking each row as it is read."""
+    """The row-by-row tour CSV reader: the whole text read at once, every
+    cell stripped and put through float() one at a time, checking each
+    row, and each line against the row and line bounds, as it is read."""
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
@@ -113,6 +132,7 @@ def brute_force_read_drive_log_csv(path):
         raise SchemaError(f"input file not found: {path}") from None
     if not lines:
         raise SchemaError(f"{path}: empty file, expected a header row")
+    _check_line_bounds(path, 0, lines[0])
     header = tuple(cell.strip() for cell in lines[0].split(","))
     if header[: len(CSV_COLUMNS)] != CSV_COLUMNS or header not in (
         CSV_COLUMNS,
@@ -126,6 +146,7 @@ def brute_force_read_drive_log_csv(path):
     columns = [[] for _ in header]
     previous_t = None
     for row_number, line in enumerate(lines[1:], start=1):
+        _check_line_bounds(path, row_number, line)
         if not line.strip():
             continue
         cells = line.split(",")

@@ -20,7 +20,7 @@ from laneweave.evaluation import (
     ks_critical_value,
     run_mode,
 )
-from laneweave.generator import generate_profile
+from laneweave.generator import bench_generation, generate_profile
 from laneweave.markov import gaussian_kernel, smooth_values
 from laneweave.noise import (
     average_magnitude_spectrum,
@@ -29,7 +29,6 @@ from laneweave.noise import (
     measured_coarse,
     uniform_noise_floor,
 )
-from laneweave.pipeline import bench_generation
 from laneweave.synthetic import REFERENCE_DAMPING
 
 from _oracles import brute_force_metrics

@@ -27,9 +27,9 @@ from laneweave.cli import (
 )
 from laneweave.core import OffsetSeries, RunConfig
 from laneweave.errors import ArgumentUsageError, SchemaError
-from laneweave.generator import load_model
+from laneweave.generator import bench_generation, load_model
 from laneweave.markov import discretize, state_centers
-from laneweave.pipeline import bench_generation, calibrate_from_segments, read_drive_log_csv
+from laneweave.pipeline import calibrate_from_segments, read_drive_log_csv
 from laneweave.preprocessing import Segment
 from laneweave.synthetic import KERNEL_FAMILIES, TRANSITION_FAMILIES
 

@@ -1,14 +1,26 @@
-"""The chunked tour CSV reader against the row-by-row reader it replaced
-(brute_force_read_drive_log_csv): every input gives the same DriveLog bit
-for bit, or the same SchemaError message, row and column."""
+"""The tour CSV reader, which reads a block of text at a time and parses
+a chunk of rows per float() pass, against the row-by-row reader of the
+whole text (brute_force_read_drive_log_csv): every input gives the same
+DriveLog bit for bit, or the same SchemaError message, row and column,
+wherever the block and chunk seams fall and whatever the row and line
+bounds. Also: what is refused past those bounds, and a dense tour's peak
+memory, which follows its parsed columns, not its text."""
 
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import laneweave
 from laneweave import pipeline
+from laneweave.cli import EXIT_SCHEMA, main
 from laneweave.pipeline import read_drive_log_csv
 from laneweave.errors import SchemaError
 
@@ -147,6 +159,144 @@ class TestMatchesOracle:
         assert len(log) == 1500 and np.isnan(log.lane_id[3]) and log.lane_id[4] == 2.0
 
 
+class TestBounds:
+    """Rows past MAX_TOUR_ROWS (blank lines count) and lines longer than
+    MAX_LINE_CHARS are refused as soon as they are read, naming the row,
+    as is a byte that is not UTF-8 wherever it lies."""
+
+    def test_row_bound(self, tmp_path):
+        rows = tour_rows(4)
+        rows.insert(2, " ")
+        within = write(tmp_path, "\n".join([LANE_HEADER, *rows[:4]]), "within.csv")
+        past = write(tmp_path, "\n".join([LANE_HEADER, *rows]), "past.csv")
+        with mock.patch.object(pipeline, "MAX_TOUR_ROWS", 4):
+            assert assert_matches_oracle(within)[0] == "log"
+            assert assert_matches_oracle(past) == (
+                "error",
+                f"{past}: row 5 is past the 4 rows a tour may hold",
+                5,
+                None,
+            )
+            code, stderr = run_cli(["calibrate", "--input", str(past), "--out", str(tmp_path / "m.json")])
+        assert code == EXIT_SCHEMA and stderr == f"error: {past}: row 5 is past the 4 rows a tour may hold\n"
+
+    def test_an_earlier_error_comes_first(self, tmp_path):
+        rows = tour_rows(6)
+        rows[1] = rows[1].replace("1.8", "1.8x")
+        path = write(tmp_path, "\n".join([LANE_HEADER, *rows]))
+        with mock.patch.object(pipeline, "MAX_TOUR_ROWS", 4), mock.patch.object(pipeline, "CSV_BLOCK_CHARS", 64):
+            assert assert_matches_oracle(path)[1:3] == (f"{path}: row 2, column 'dist_left': cannot parse '1.8x'", 2)
+        rows = tour_rows(6)
+        rows[2] = rows[1]
+        rows[4] += " " * pipeline.MAX_LINE_CHARS
+        path = write(tmp_path, "\n".join([LANE_HEADER, *rows]))
+        assert assert_matches_oracle(path)[1:3] == (f"{path}: row 3: timestamps must be strictly increasing", 3)
+
+    @pytest.mark.parametrize("block_chars", [7, 1 << 16])
+    def test_a_bound_comes_before_an_error_in_its_row(self, tmp_path, block_chars):
+        rows = tour_rows(3)
+        rows[2] += ",1"
+        path = write(tmp_path, "\n".join([LANE_HEADER, *rows]))
+        with mock.patch.object(pipeline, "CSV_BLOCK_CHARS", block_chars):
+            with mock.patch.object(pipeline, "MAX_TOUR_ROWS", 2):
+                assert assert_matches_oracle(path)[1:3] == (f"{path}: row 3 is past the 2 rows a tour may hold", 3)
+            rows[2] += " " * pipeline.MAX_LINE_CHARS
+            path = write(tmp_path, "\n".join([LANE_HEADER, *rows]))
+            assert assert_matches_oracle(path)[1:3] == (
+                f"{path}: row 3 is longer than {pipeline.MAX_LINE_CHARS} characters",
+                3,
+            )
+
+    @pytest.mark.parametrize("block_chars", [7, 1 << 16])
+    def test_line_bound(self, tmp_path, block_chars):
+        rows = tour_rows(3)
+        # float() strips the padding, so the longest line allowed parses
+        rows[1] = rows[1].replace(",", " " * (pipeline.MAX_LINE_CHARS - len(rows[1])) + ",", 1)
+        within = write(tmp_path, "\n".join([LANE_HEADER, *rows]), "within.csv")
+        rows[2] = rows[2].replace(",", " " * (pipeline.MAX_LINE_CHARS + 1 - len(rows[2])) + ",", 1)
+        past = write(tmp_path, "\n".join([LANE_HEADER, *rows]), "past.csv")
+        header = write(tmp_path, LANE_HEADER + " " * pipeline.MAX_LINE_CHARS + "\n" + rows[0], "header.csv")
+        with mock.patch.object(pipeline, "CSV_BLOCK_CHARS", block_chars):
+            assert assert_matches_oracle(within)[0] == "log"
+            assert assert_matches_oracle(past)[1:3] == (
+                f"{past}: row 3 is longer than {pipeline.MAX_LINE_CHARS} characters",
+                3,
+            )
+            assert assert_matches_oracle(header)[1:3] == (
+                f"{header}: header is longer than {pipeline.MAX_LINE_CHARS} characters",
+                0,
+            )
+
+    def test_an_error_before_a_byte_not_utf8_comes_first(self, tmp_path):
+        # the byte is decoded only when its block is read, after the
+        # error in the first block has been raised
+        rows = tour_rows(5000)
+        rows[1] = rows[1].replace("1.8", "1.8x")
+        text = "\n".join([LANE_HEADER, *rows]) + "\n"
+        assert len(text) > 2 * pipeline.CSV_BLOCK_CHARS
+        path = tmp_path / "tour.csv"
+        path.write_bytes(text.encode() + b"\xff,1.8,1.8,80,2\n")
+        with pytest.raises(SchemaError) as raised:
+            read_drive_log_csv(path)
+        assert str(raised.value) == f"{path}: row 2, column 'dist_left': cannot parse '1.8x'"
+
+    def test_byte_not_utf8_after_the_first_block(self, tmp_path):
+        text = "\n".join([LANE_HEADER, *tour_rows(5000)]) + "\n"
+        assert len(text) > 2 * pipeline.CSV_BLOCK_CHARS
+        path = tmp_path / "tour.csv"
+        path.write_bytes(text.encode() + b"\xff,1.8,1.8,80,2\n")
+        with pytest.raises(SchemaError, match=f"^cannot read input file {path}: 'utf-8' codec can't decode byte 0xff"):
+            read_drive_log_csv(path)
+        code, stderr = run_cli(["calibrate", "--input", str(path), "--out", str(tmp_path / "m.json")])
+        assert code == EXIT_SCHEMA and stderr.startswith(f"error: cannot read input file {path}: ")
+
+
+def run_cli(argv):
+    """(exit code, stderr) of one in-process command-line run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+# 200 000 rows over 1 s: about 12 MB of text, 8 MB of parsed columns
+DENSE_ROWS = 200_000
+# the most calibrate on that tour may add to a fresh interpreter that
+# imported the command line; reading the text whole added 37 MB
+DENSE_PEAK_MB = 24
+_PEAK_KIB = "import resource; {code}; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_dense_tour_peak_memory_follows_its_columns(tmp_path):
+    path = tmp_path / "dense.csv"
+    with open(path, "w") as file:
+        file.write(LANE_HEADER + "\n")
+        file.writelines(
+            f"{k * 5e-6!r},{1.5 + k % 997 / 7919!r},{1.9 - k % 991 / 7907!r},{80.0 + k % 13 * 0.25!r},2.0\n"
+            for k in range(DENSE_ROWS)
+        )
+    src = str(Path(laneweave.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def peak_kib(code):
+        out = subprocess.run(
+            [sys.executable, "-c", _PEAK_KIB.format(code=code)],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        return out.stdout.split()
+
+    (baseline,) = peak_kib("import laneweave.cli")
+    code, peak = peak_kib(
+        "from laneweave.cli import main; "
+        f"print(main(['calibrate', '--input', {str(path)!r}, '--out', {str(tmp_path / 'm.json')!r}]))"
+    )
+    # too few samples for the spectral fit: exit 4
+    assert code == "4"
+    assert (int(peak) - int(baseline)) / 1024 <= DENSE_PEAK_MB
+
+
 NUMBERS = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
 ODD_CELLS = st.one_of(
     st.sampled_from(
@@ -154,12 +304,16 @@ ODD_CELLS = st.one_of(
     ),
     st.text(alphabet=" \t0123456789.-+eE_naif\xa0\u3000", max_size=6),
 )
+# every line end str.splitlines() knows; universal-newline reading turns
+# "\r" and "\r\n" into "\n" first
+LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 @st.composite
 def csv_texts(draw):
     """Mostly well-formed tours with a few defects: odd cells, wrong field
-    counts, blank lines, timestamps that stall or go back, any line ending."""
+    counts, blank lines, timestamps that stall or go back, and any line
+    end, both between rows and inside one."""
     lane = draw(st.booleans())
     width = 5 if lane else 4
     lines = [LANE_HEADER if lane else HEADER]
@@ -181,15 +335,45 @@ def csv_texts(draw):
             cells += [draw(NUMBERS) for _ in range(draw(st.integers(1, 2)))]
         elif kind == 4 and lane:
             cells[4] = draw(st.sampled_from(["", " ", "\t"]))
-        lines.append(",".join(cells))
-    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+        line = ",".join(cells)
+        if kind == 5:
+            cut = draw(st.integers(0, len(line)))
+            line = line[:cut] + draw(st.sampled_from(LINE_ENDS)) + line[cut:]
+        lines.append(line)
+    ends = [draw(st.sampled_from(["\n"] * 5 + LINE_ENDS)) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text[: -len(ends[-1])]
+
+
+BLOCK_CHARS = st.one_of(st.integers(1, 40), st.just(pipeline.CSV_BLOCK_CHARS))
+
+
+def assert_matches_oracle_with(path, **constants):
+    """assert_matches_oracle with pipeline's constants patched."""
+    with contextlib.ExitStack() as patches:
+        for name, value in constants.items():
+            patches.enter_context(mock.patch.object(pipeline, name, value))
+        assert_matches_oracle(path)
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=csv_texts(), chunk_rows=st.integers(1, 5))
-def test_any_csv_matches_oracle(tmp_path_factory, text, chunk_rows):
+@given(text=csv_texts(), chunk_rows=st.integers(1, 5), block_chars=BLOCK_CHARS)
+def test_any_csv_matches_oracle(tmp_path_factory, text, chunk_rows, block_chars):
     path = write(tmp_path_factory.mktemp("csv"), text)
-    # small chunks put chunk seams inside these short files
-    with mock.patch.object(pipeline, "CSV_CHUNK_ROWS", chunk_rows):
-        assert_matches_oracle(path)
+    # small chunks and blocks put their seams inside these short files
+    assert_matches_oracle_with(path, CSV_CHUNK_ROWS=chunk_rows, CSV_BLOCK_CHARS=block_chars)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=csv_texts(),
+    block_chars=BLOCK_CHARS,
+    max_rows=st.integers(0, 14),
+    max_line=st.one_of(st.just(pipeline.MAX_LINE_CHARS), st.integers(0, 100)),
+)
+def test_any_csv_past_small_bounds_matches_oracle(tmp_path_factory, text, block_chars, max_rows, max_line):
+    path = write(tmp_path_factory.mktemp("csv"), text)
+    # small bounds put rows and lines of these short files past them
+    assert_matches_oracle_with(
+        path, CSV_BLOCK_CHARS=block_chars, MAX_TOUR_ROWS=max_rows, MAX_LINE_CHARS=max_line
+    )

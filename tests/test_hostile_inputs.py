@@ -23,10 +23,10 @@ import laneweave
 from laneweave.cli import EXIT_ARGUMENT, EXIT_CALIBRATION, EXIT_OK, EXIT_SCHEMA, build_parser, main
 from laneweave.core import MAX_MAGNITUDE, MAX_N_C, MAX_SMOOTHING_STEPS, SIGMA_FLOOR_STEPS, ModelParams, RunConfig
 from laneweave.errors import SchemaError
-from laneweave.generator import generate_profile, load_model
+from laneweave.generator import MAX_INPUT_BYTES, generate_profile, load_model
 from laneweave.markov import gaussian_kernel
 from laneweave.noise import MAX_KERNEL_TAPS, FineModel
-from laneweave.pipeline import calibrate_from_segments, ingest_segments
+from laneweave.pipeline import MAX_LINE_CHARS, calibrate_from_segments, ingest_segments
 
 # address-space cap of the subprocess that runs the oversized requests:
 # a request that slips past its bound fails with MemoryError, not by
@@ -92,6 +92,11 @@ def files(tmp_path_factory):
     taps = (taps * (2 / np.abs(taps).sum())).tolist()
     header = "t,dist_left,dist_right,v_lon\n"
     (root / "a_directory").mkdir()
+    # sparse files one byte past the size bound of model and config files
+    oversized = [root / "model_oversized.json", root / "config_oversized.json"]
+    for path in oversized:
+        path.touch()
+        os.truncate(path, MAX_INPUT_BYTES + 1)
     return {
         "tour": tour,
         "model": model,
@@ -107,6 +112,7 @@ def files(tmp_path_factory):
             text_file("huge_t.csv", header + "-1e308,1.8,1.8,80\n1e308,1.8,1.8,80\n"),
             text_file("short_row.csv", header + "0,1.8,1.8\n0.2,1.8,1.8,80,1,2\n"),
             text_file("slow.csv", header + "".join(f"{k * 0.2!r},1.8,1.8,20\n" for k in range(300))),
+            text_file("long_line.csv", header + "0,1.8,1.8,80\n0.2," + "1" * 10_000 + ",1.8,80\n"),
             root / "missing.csv",
             root / "a_directory",
         ],
@@ -139,6 +145,7 @@ def files(tmp_path_factory):
             text_file("model_truncated.json", model.read_text()[:200]),
             text_file("model_deep.json", "[" * 100_000),
             text_file("model_list.json", "[]"),
+            oversized[0],
             root / "missing.json",
             root / "a_directory",
         ],
@@ -152,6 +159,7 @@ def files(tmp_path_factory):
             text_file("config_list.json", "[]"),
             text_file("config_deep.json", "[" * 100_000),
             text_file("config_binary.json", b"\xff{}"),
+            oversized[1],
             root / "a_directory",
         ],
     }
@@ -278,6 +286,11 @@ MALFORMED = [
     ("model_params_missing_field", ["generate", "--model", "{root}/model_no_v_min.json", "--x0", "0",
                                     "--duration", "10"], 3),
     ("tour_timestamps_overflow", ["calibrate", "--input", "{root}/huge_t.csv"], 3),
+    ("tour_line_past_bound", ["calibrate", "--input", "{root}/long_line.csv"], 3),
+    ("model_past_size_bound", ["generate", "--model", "{root}/model_oversized.json", "--x0", "0",
+                               "--duration", "10"], 3),
+    ("config_past_size_bound", ["calibrate", "--input", "{root}/tour.csv", "--config",
+                                "{root}/config_oversized.json"], 3),
 ]
 # the error line of the cases whose refusal no other test names
 MALFORMED_MESSAGES = {
@@ -285,6 +298,9 @@ MALFORMED_MESSAGES = {
     "config_not_an_object": "config file must hold a JSON object",
     "model_params_missing_field": "params section is missing field 'v_min'",
     "tour_timestamps_overflow": "row 1, column 't': timestamp -1e+308 has magnitude above 1e+150",
+    "tour_line_past_bound": f"row 2 is longer than {MAX_LINE_CHARS} characters",
+    "model_past_size_bound": f"model_oversized.json is larger than {MAX_INPUT_BYTES} bytes",
+    "config_past_size_bound": f"config_oversized.json is larger than {MAX_INPUT_BYTES} bytes",
 }
 
 
