@@ -160,18 +160,20 @@ class DriveLog:
         n = self.t.size
         if any(getattr(self, name).size != n for name in _LOG_COLUMNS):
             raise ValueError("drive-log columns differ in length")
-        if n >= 2 and not np.all(np.diff(self.t) > 0):
+        # pairwise, so that no float64 array of steps is built
+        if not (self.t[1:] > self.t[:-1]).all():
             raise ValueError("drive-log timestamps must be strictly increasing")
 
     def __len__(self) -> int:
         return self.t.size
 
-    def valid_mask(self) -> np.ndarray:
-        """True where the sample yields a usable lane position."""
+    def valid_mask(self, rows: slice = slice(None)) -> np.ndarray:
+        """True where the sample yields a usable lane position, over the
+        given rows (all by default)."""
         return (
-            np.isfinite(self.t)
-            & np.isfinite(self.v_lon)
-            & _usable_distances(self.dist_left, self.dist_right)
+            np.isfinite(self.t[rows])
+            & np.isfinite(self.v_lon[rows])
+            & _usable_distances(self.dist_left[rows], self.dist_right[rows])
         )
 
 

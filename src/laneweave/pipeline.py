@@ -19,7 +19,7 @@ import os
 import pickle
 from contextlib import ExitStack
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, NoReturn
 
@@ -35,8 +35,9 @@ from .preprocessing import Segment, extract_segments, resample
 CSV_COLUMNS = ("t", "dist_left", "dist_right", "v_lon")
 # rows parsed per float() pass; bounds the transient list of cell strings
 CSV_CHUNK_ROWS = 1024
-# characters of tour text read at a time: some 800 rows of a 50-minute tour
-CSV_BLOCK_CHARS = 1 << 16
+# characters of tour text read at a time: some 400 rows of a 50-minute tour;
+# at twice this, reading one peaked at 1.7 MiB, not 1.1 MiB, and was no faster
+CSV_BLOCK_CHARS = 1 << 15
 # Most rows a tour may number (blank lines count), like MAX_GRID_POINTS;
 # its parsed columns hold 40 bytes per row with lane_id.
 MAX_TOUR_ROWS = 10_000_000
@@ -56,9 +57,10 @@ def read_drive_log_csv(path) -> DriveLog:
 
     The file is read CSV_BLOCK_CHARS characters at a time (see
     _tour_lines), so that what is held beyond the parsed columns is one
-    block of text and its lines. Blank lines are skipped (they still count
-    in row numbers) and an empty lane_id cell means unknown (NaN). Every
-    cell goes through float(), a chunk of rows at a time, and each
+    block of text, its lines and one chunk's cells. Blank lines are skipped
+    (they still count in row numbers) and an empty lane_id cell means
+    unknown (NaN). A chunk's rows are joined with ",\n" and split once
+    (the newlines mark row starts); every cell goes through float(), and each
     column's values are appended to a bytearray, which grows in place and
     which the returned log's column then views without a copy. On any
     failure, a block past MAX_TOUR_ROWS or MAX_LINE_CHARS included, the
@@ -90,11 +92,12 @@ def read_drive_log_csv(path) -> DriveLog:
         rows = list(filter(str.strip, lines))
         for start in range(0, len(rows), CSV_CHUNK_ROWS):
             chunk = rows[start : start + CSV_CHUNK_ROWS]
-            # per row, not in total: a short row followed by a long one
-            # would otherwise shift every later cell into the wrong column
-            if list(map(str.count, chunk, repeat(","))).count(width - 1) != len(chunk):
+            # each row, not only the total, must have width cells, or a short
+            # row and a long one would shift the cells between them: a line
+            # holds no "\n", so the n - 1 joins fall on multiples of width only then
+            cells = ",\n".join(chunk).split(",")
+            if len(cells) != width * len(chunk) or "".join(cells[width::width]).count("\n") != len(chunk) - 1:
                 _raise_first_error(path, header)
-            cells = ",".join(chunk).split(",")
             column_cells = [cells[k::width] for k in range(width)]
             if has_lane:
                 column_cells[-1] = [c if c.strip() else "nan" for c in column_cells[-1]]

@@ -13,6 +13,9 @@ from .errors import InsufficientDataError, SchemaError
 # Most grid points resample builds from one tour, about 23 days at 5 Hz;
 # each point holds a dozen float64 working values.
 MAX_GRID_POINTS = 10_000_000
+# source rows resample checks and converts to offsets at a time, so that its
+# temporaries beyond the full-length offsets stay bounded
+RESAMPLE_SLICE_ROWS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,20 +55,23 @@ def resample(log: DriveLog, target_rate: float) -> ResampledTrack:
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
-    valid_src = log.valid_mask()
-    n_valid = int(valid_src.sum())
+    t = log.t
+    offsets_src = np.full(t.size, np.nan)
+    n_valid = 0
+    for start in range(0, t.size, RESAMPLE_SLICE_ROWS):
+        rows = slice(start, start + RESAMPLE_SLICE_ROWS)
+        valid = log.valid_mask(rows)
+        n_valid += int(np.count_nonzero(valid))
+        offsets_src[rows][valid] = relative_offset(log.dist_left[rows][valid], log.dist_right[rows][valid])
     if n_valid < 2:
         raise InsufficientDataError(f"tour {log.tour_id!r}: need at least 2 valid samples, got {n_valid}")
 
-    t = log.t
     span = (t[-1] - t[0]) * target_rate
     if not span < MAX_GRID_POINTS:
         raise SchemaError(
             f"tour {log.tour_id!r} spans {float(t[-1] - t[0])!r} s, more than "
             f"{MAX_GRID_POINTS} grid points at {target_rate:g} Hz"
         )
-    offsets_src = np.full(t.size, np.nan)
-    offsets_src[valid_src] = relative_offset(log.dist_left[valid_src], log.dist_right[valid_src])
 
     n_grid = int(np.floor(span + 1e-9)) + 1
     grid = t[0] + np.arange(n_grid) / target_rate

@@ -1,7 +1,10 @@
 """Brute-force reference implementations, deliberately sharing no logic
 with the package (only its data and error types): plain Python loops,
 fsum, manual order statistics, one numpy binary search per chain step,
-a cell-by-cell CSV reader, and the one-column population summary."""
+a cell-by-cell CSV reader, and the one-column population summary; and
+the former forms of a few checks and counts, kept to compare against:
+the per-row comma count, the timestamp check through np.diff, and one
+np.add.at per segment of transitions."""
 
 import math
 from pathlib import Path
@@ -102,6 +105,31 @@ def brute_force_chain_path(cum_rows, initial_state, uniforms):
         state = min(int(np.searchsorted(cum_rows[state], u, side="right")), n_c - 1)
         out[i + 1] = state
     return out
+
+
+def rows_have_width(chunk, width):
+    """True when every line of the chunk has width - 1 commas, counted
+    row by row."""
+    return [line.count(",") for line in chunk].count(width - 1) == len(chunk)
+
+
+def timestamps_increase(t):
+    """The timestamp check DriveLog made through the steps of np.diff."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return bool(np.all(np.diff(t) > 0))
+
+
+def add_at_transitions(state_segments, n_c):
+    """a->b step counts, one np.add.at per segment of two or more states."""
+    counts = np.zeros((n_c, n_c), dtype=np.int64)
+    for seg in state_segments:
+        seg = np.asarray(seg, dtype=np.int64)
+        if seg.size < 2:
+            continue
+        if np.any((seg < 0) | (seg >= n_c)):
+            raise ValueError("state index out of range")
+        np.add.at(counts, (seg[:-1], seg[1:]), 1)
+    return counts
 
 
 def _check_line_bounds(path, row_number, line):

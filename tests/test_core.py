@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import hypothesis.extra.numpy as hnp
 from hypothesis import given, strategies as st
 
 from laneweave.core import (
@@ -13,6 +14,8 @@ from laneweave.core import (
     relative_offset,
 )
 from laneweave.errors import ArgumentUsageError
+
+from _oracles import timestamps_increase
 
 distances = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -176,3 +179,24 @@ class TestDriveLog:
             v_lon=[80.0, 80.0, 80.0, 80.0],
         )
         assert log.valid_mask().tolist() == [True, False, False, False]
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.integers(0, 6),
+            elements=st.one_of(
+                st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+                st.floats(allow_subnormal=True),
+            ),
+        )
+    )
+    def test_timestamps_checked_as_their_steps_are(self, t):
+        # pairwise comparison and the sign of np.diff agree on every pair
+        # of float64s, NaN, infinities, signed zeros and overflow included
+        columns = dict(dist_left=np.ones(t.size), dist_right=np.ones(t.size), v_lon=np.ones(t.size))
+        try:
+            DriveLog(t=t, **columns)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == timestamps_increase(t)

@@ -24,7 +24,7 @@ from laneweave.cli import EXIT_SCHEMA, main
 from laneweave.pipeline import read_drive_log_csv
 from laneweave.errors import SchemaError
 
-from _oracles import brute_force_read_drive_log_csv
+from _oracles import brute_force_read_drive_log_csv, rows_have_width
 
 HEADER = "t,dist_left,dist_right,v_lon"
 LANE_HEADER = HEADER + ",lane_id"
@@ -124,6 +124,17 @@ class TestMatchesOracle:
             2,
             None,
         )
+
+    def test_short_row_before_a_long_one_is_named(self, tmp_path):
+        # five cells each in total, so only a check of every row sees it
+        path = write(tmp_path, "\n".join([LANE_HEADER, "0.0,1.8,1.8,80", "0.2,1.8,1.8,80,2,2"]) + "\n")
+        code, stderr = run_cli(["calibrate", "--input", str(path), "--out", str(tmp_path / "m.json")])
+        assert code == EXIT_SCHEMA and stderr == f"error: {path}: row 1 has 4 fields, expected 5\n"
+
+    def test_empty_timestamp_after_a_row_start(self, tmp_path):
+        # the second row's first cell is read as "\n", which float() refuses
+        path = write(tmp_path, "\n".join([LANE_HEADER, "0.0,1.8,1.8,80,2", ",1.8,1.8,80,2"]) + "\n")
+        assert assert_matches_oracle(path)[1:4] == (f"{path}: row 2, column 't': cannot parse ''", 2, "t")
 
     @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
     @pytest.mark.parametrize(
@@ -262,8 +273,9 @@ def run_cli(argv):
 # 200 000 rows over 1 s: about 12 MB of text, 8 MB of parsed columns
 DENSE_ROWS = 200_000
 # the most calibrate on that tour may add to a fresh interpreter that
-# imported the command line; reading the text whole added 37 MB
-DENSE_PEAK_MB = 24
+# imported the command line: 37 MB when the reader held the whole text,
+# 18.6 MB with full-length copies in DriveLog's check and resample, now 13.1
+DENSE_PEAK_MB = 16
 _PEAK_KIB = "import resource; {code}; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
 
 
@@ -377,3 +389,28 @@ def test_any_csv_past_small_bounds_matches_oracle(tmp_path_factory, text, block_
     assert_matches_oracle_with(
         path, CSV_BLOCK_CHARS=block_chars, MAX_TOUR_ROWS=max_rows, MAX_LINE_CHARS=max_line
     )
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(lane=st.booleans(), data=st.data(), chunk_rows=st.integers(1, 8))
+def test_rows_are_aligned_exactly_when_each_has_its_width(tmp_path_factory, lane, data, chunk_rows):
+    # rows of width - 1 commas, some moved from one row to another (so
+    # that the total stays) and maybe one row of 0 to 2 * width; every cell
+    # a number above the last, so that cells shifted into the wrong column
+    # would still parse as a log and only the alignment check refuses them
+    width = 5 if lane else 4
+    commas = [width - 1] * data.draw(st.integers(1, 8))
+    rows = st.integers(0, len(commas) - 1)
+    for _ in range(data.draw(st.integers(0, 2))):
+        give, take = data.draw(rows), data.draw(rows)
+        moved = data.draw(st.integers(0, min(commas[give], 2 * width - commas[take])))
+        commas[give] -= moved
+        commas[take] += moved
+    if data.draw(st.booleans()):
+        commas[data.draw(rows)] = data.draw(st.integers(0, 2 * width))
+    cells = iter(range(sum(commas) + len(commas)))
+    rows = [",".join(str(next(cells)) for _ in range(k + 1)) for k in commas]
+    path = write(tmp_path_factory.mktemp("csv"), "\n".join([LANE_HEADER if lane else HEADER, *rows]) + "\n")
+    with mock.patch.object(pipeline, "CSV_CHUNK_ROWS", chunk_rows):
+        assert (assert_matches_oracle(path)[0] == "log") == rows_have_width(rows, width)

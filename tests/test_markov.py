@@ -18,7 +18,7 @@ from laneweave.markov import (
 )
 from laneweave.synthetic import banded_transition
 
-from _oracles import brute_force_smooth
+from _oracles import add_at_transitions, brute_force_smooth
 
 
 def _model(transition, n_c=None):
@@ -222,6 +222,23 @@ class TestEstimateTransitions:
     def test_counts_reject_out_of_range(self):
         with pytest.raises(ValueError):
             count_transitions([np.array([0, 5])], 3)
+
+    @given(
+        n_c=st.integers(2, 6),
+        segments=st.lists(st.lists(st.integers(-1, 6), max_size=8), max_size=6),
+    )
+    def test_counts_match_one_add_at_per_segment(self, n_c, segments):
+        # empty and one-state segments count nothing and are not checked
+        segments = [np.array(seg, dtype=np.int64) for seg in segments]
+        try:
+            expected = add_at_transitions(segments, n_c)
+        except ValueError:
+            with pytest.raises(ValueError, match="state index out of range"):
+                count_transitions(segments, n_c)
+            return
+        counts = count_transitions(segments, n_c)
+        assert counts.dtype == np.int64 and counts.shape == (n_c, n_c)
+        assert np.array_equal(counts, expected)
 
     def test_recovers_known_chain(self):
         # >= 1e5 transitions from a known banded chain; rows visited often

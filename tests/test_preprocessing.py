@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from laneweave import preprocessing
 from laneweave.core import DriveLog, ModelParams
 from laneweave.errors import InsufficientDataError
 from laneweave.preprocessing import extract_segments, resample
@@ -99,6 +103,33 @@ class TestResample:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             resample(log_from_offsets([0.0, 0.2], [0, 0], [100, 100]), 0.0)
+
+    @settings(deadline=None)
+    @given(
+        steps=st.lists(st.sampled_from([0.05, 0.1, 0.15, 0.2, 0.35]), min_size=1, max_size=24),
+        cells=st.data(),
+        slice_rows=st.integers(1, 7),
+    )
+    def test_row_slices_change_no_bit(self, steps, cells, slice_rows):
+        n = len(steps) + 1
+        distance = st.sampled_from([1.8, 0.0, -0.3, 2.5, np.nan, np.inf, 1.7e308])
+        log = DriveLog(
+            t=np.cumsum([0.0, *steps]),
+            dist_left=cells.draw(st.lists(distance, min_size=n, max_size=n)),
+            dist_right=cells.draw(st.lists(distance, min_size=n, max_size=n)),
+            v_lon=cells.draw(st.lists(st.sampled_from([80.0, 30.0, np.nan, np.inf]), min_size=n, max_size=n)),
+        )
+
+        def outcome():
+            try:
+                track = resample(log, 5.0)
+            except InsufficientDataError as exc:
+                return str(exc)
+            return track.offsets.tobytes(), track.velocity.tobytes(), track.lane_ids.tobytes()
+
+        whole = outcome()
+        with mock.patch.object(preprocessing, "RESAMPLE_SLICE_ROWS", slice_rows):
+            assert outcome() == whole
 
 
 class TestExtractSegments:
