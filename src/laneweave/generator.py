@@ -4,6 +4,7 @@ documents, and read and write the files around them."""
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -189,14 +190,15 @@ def input_errors(path, kind: str):
 
 
 def read_input(path, kind: str):
-    """The JSON document a model or config file holds. A missing,
-    unreadable, non-UTF-8, malformed or oversized file (past
-    MAX_INPUT_BYTES, checked before it is read) raises SchemaError with a
-    message naming the kind of file."""
-    with input_errors(path, kind):
-        if os.stat(path).st_size > MAX_INPUT_BYTES:
+    """The JSON document a model or config file holds, decoded as
+    Path.read_text() would. A missing, unreadable, non-UTF-8, malformed or
+    oversized file (past MAX_INPUT_BYTES, counted on its one read, so a
+    pipe too) raises SchemaError with a message naming the kind of file."""
+    with input_errors(path, kind), open(path, "rb") as file:
+        data = file.read(MAX_INPUT_BYTES + 1)
+        if len(data) > MAX_INPUT_BYTES:
             raise SchemaError(f"{kind} file {path} is larger than {MAX_INPUT_BYTES} bytes")
-        text = Path(path).read_text()
+        text = io.TextIOWrapper(io.BytesIO(data)).read()
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

@@ -33,10 +33,9 @@ from .noise import cap, extract_fine, fit_kernel
 from .preprocessing import Segment, extract_segments, resample
 
 CSV_COLUMNS = ("t", "dist_left", "dist_right", "v_lon")
-# rows parsed per float() pass; bounds the transient list of cell strings
-CSV_CHUNK_ROWS = 1024
-# characters of tour text read at a time: some 400 rows of a 50-minute tour;
-# at twice this, reading one peaked at 1.7 MiB, not 1.1 MiB, and was no faster
+# characters of tour text read and parsed at a time, which bounds the
+# transient lines and cell strings: some 400 rows of a 50-minute tour; at
+# twice this, reading one peaked at 1.7 MiB, not 1.1 MiB, and was no faster
 CSV_BLOCK_CHARS = 1 << 15
 # Most rows a tour may number (blank lines count), like MAX_GRID_POINTS;
 # its parsed columns hold 40 bytes per row with lane_id.
@@ -55,17 +54,18 @@ def read_drive_log_csv(path) -> DriveLog:
     """Parse one tour CSV; structural problems raise SchemaError naming
     the offending column and 1-based data row.
 
-    The file is read CSV_BLOCK_CHARS characters at a time (see
+    The file is read once, CSV_BLOCK_CHARS characters at a time (see
     _tour_lines), so that what is held beyond the parsed columns is one
-    block of text, its lines and one chunk's cells. Blank lines are skipped
+    block of text, its lines and their cells. Blank lines are skipped
     (they still count in row numbers) and an empty lane_id cell means
-    unknown (NaN). A chunk's rows are joined with ",\n" and split once
+    unknown (NaN). A block's rows are joined with ",\n" and split once
     (the newlines mark row starts); every cell goes through float(), and each
     column's values are appended to a bytearray, which grows in place and
-    which the returned log's column then views without a copy. On any
-    failure, a block past MAX_TOUR_ROWS or MAX_LINE_CHARS included, the
-    file is read again and its rows checked one by one to report the
-    first error in file order.
+    which the returned log's column then views without a copy. A block
+    that fails any check, MAX_TOUR_ROWS or MAX_LINE_CHARS included, is
+    checked again row by row from the lines in hand (see
+    _raise_first_error); the blocks before it were accepted, so its first
+    error is the first in file order.
     """
     path = Path(path)
     blocks = _tour_lines(path)
@@ -84,36 +84,35 @@ def read_drive_log_csv(path) -> DriveLog:
 
     columns = [bytearray() for _ in header]
     last_t = -math.inf
-    row = 0  # of the last line read
+    row = 0  # of the last line of the blocks accepted
     for lines in chain([first[1:]], blocks):
-        row += len(lines)
-        if row > MAX_TOUR_ROWS or max(map(len, lines), default=0) > MAX_LINE_CHARS:
-            _raise_first_error(path, header)
+        if row + len(lines) > MAX_TOUR_ROWS or max(map(len, lines), default=0) > MAX_LINE_CHARS:
+            _raise_first_error(path, header, lines, row, last_t)
         rows = list(filter(str.strip, lines))
-        for start in range(0, len(rows), CSV_CHUNK_ROWS):
-            chunk = rows[start : start + CSV_CHUNK_ROWS]
+        if rows:
             # each row, not only the total, must have width cells, or a short
             # row and a long one would shift the cells between them: a line
             # holds no "\n", so the n - 1 joins fall on multiples of width only then
-            cells = ",\n".join(chunk).split(",")
-            if len(cells) != width * len(chunk) or "".join(cells[width::width]).count("\n") != len(chunk) - 1:
-                _raise_first_error(path, header)
+            cells = ",\n".join(rows).split(",")
+            row_starts = "".join(cells[width::width]).count("\n")
+            aligned = len(cells) == width * len(rows) and row_starts == len(rows) - 1
             column_cells = [cells[k::width] for k in range(width)]
             if has_lane:
                 column_cells[-1] = [c if c.strip() else "nan" for c in column_cells[-1]]
             try:
-                values = [np.fromiter(map(float, c), np.float64, len(chunk)) for c in column_cells]
+                values = [np.fromiter(map(float, c), np.float64, len(rows)) for c in column_cells]
             except ValueError:
-                _raise_first_error(path, header)
+                _raise_first_error(path, header, lines, row, last_t)
             t = values[0]
             # the magnitude bound (which NaN fails) goes first, so that no
             # step between timestamps, nor the span resample sizes its grid
             # from, overflows
-            if not ((np.abs(t) <= MAX_MAGNITUDE).all() and t[0] > last_t and (t[1:] > t[:-1]).all()):
-                _raise_first_error(path, header)
+            if not (aligned and (np.abs(t) <= MAX_MAGNITUDE).all() and t[0] > last_t and (t[1:] > t[:-1]).all()):
+                _raise_first_error(path, header, lines, row, last_t)
             last_t = t[-1]
             for column, column_values in zip(columns, values):
                 column += column_values.tobytes()
+        row += len(lines)
 
     # the header's columns are DriveLog's fields, in order
     return DriveLog(*map(np.frombuffer, columns), tour_id=path.stem)
@@ -143,15 +142,14 @@ def _tour_lines(path: Path):
                 return
 
 
-def _raise_first_error(path: Path, header: tuple) -> NoReturn:
-    """Read the file again and check its data rows one by one, raising
-    the first SchemaError in file order: a row number past MAX_TOUR_ROWS
-    or a line past MAX_LINE_CHARS (blank lines count), then field count,
-    each cell, and the timestamp."""
-    lines = chain.from_iterable(_tour_lines(path))
-    next(lines, None)  # the header
-    previous_t = None
-    for row_number, line in enumerate(lines, start=1):
+def _raise_first_error(path: Path, header: tuple, lines: list, row: int, previous_t: float) -> NoReturn:
+    """Check a block's lines one by one, numbered from row + 1 and after
+    the last accepted timestamp previous_t (-inf before the first row),
+    raising the first SchemaError among them: a row number past
+    MAX_TOUR_ROWS or a line past MAX_LINE_CHARS (blank lines count), then
+    field count, each cell, and the timestamp. Should every line pass,
+    the block's checks and these disagree, and AssertionError says so."""
+    for row_number, line in enumerate(lines, start=row + 1):
         if row_number > MAX_TOUR_ROWS:
             raise SchemaError(
                 f"{path}: row {row_number} is past the {MAX_TOUR_ROWS} rows a tour may hold",
@@ -197,14 +195,14 @@ def _raise_first_error(path: Path, header: tuple) -> NoReturn:
                 column="t",
                 row=row_number,
             )
-        if previous_t is not None and t <= previous_t:
+        if t <= previous_t:
             raise SchemaError(
                 f"{path}: row {row_number}: timestamps must be strictly increasing",
                 column="t",
                 row=row_number,
             )
         previous_t = t
-    raise SchemaError(f"cannot read input file {path}: it changed while it was read")
+    raise AssertionError(f"{path}: rows {row + 1}-{row + len(lines)} fail a block check but no row check")
 
 
 def format_drive_log_csv(log: DriveLog) -> str:

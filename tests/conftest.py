@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import os
 
 import pytest
 
@@ -68,3 +70,24 @@ def gentle_model():
 @pytest.fixture(scope="session")
 def gentle_segments(gentle_model):
     return _segments_for(gentle_model, GENTLE_SEED)
+
+
+@contextlib.contextmanager
+def _pipe_holding(data: bytes):
+    read_end, write_end = os.pipe()
+    try:
+        with open(write_end, "wb") as writer:
+            writer.write(data)
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+
+
+@pytest.fixture(scope="session")
+def pipe_holding():
+    """A context manager giving the /dev/fd path of a pipe's read end
+    that holds data (under the 64 KiB a pipe buffers) and whose write end
+    is closed, so that the path can be read once, to its end."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd to name a pipe by")
+    return _pipe_holding

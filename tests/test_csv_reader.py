@@ -1,10 +1,11 @@
 """The tour CSV reader, which reads a block of text at a time and parses
-a chunk of rows per float() pass, against the row-by-row reader of the
-whole text (brute_force_read_drive_log_csv): every input gives the same
-DriveLog bit for bit, or the same SchemaError message, row and column,
-wherever the block and chunk seams fall and whatever the row and line
-bounds. Also: what is refused past those bounds, and a dense tour's peak
-memory, which follows its parsed columns, not its text."""
+each block's rows in one float() pass, against the row-by-row reader of
+the whole text (brute_force_read_drive_log_csv): every input gives the
+same DriveLog bit for bit, or the same SchemaError message, row and
+column, wherever the block seams fall and whatever the row and line
+bounds, and the same again through a pipe, which can be read only once.
+Also: what is refused past those bounds, and a dense tour's peak memory,
+which follows its parsed columns, not its text."""
 
 import contextlib
 import io
@@ -130,6 +131,15 @@ class TestMatchesOracle:
         path = write(tmp_path, "\n".join([LANE_HEADER, "0.0,1.8,1.8,80", "0.2,1.8,1.8,80,2,2"]) + "\n")
         code, stderr = run_cli(["calibrate", "--input", str(path), "--out", str(tmp_path / "m.json")])
         assert code == EXIT_SCHEMA and stderr == f"error: {path}: row 1 has 4 fields, expected 5\n"
+
+    def test_a_malformed_tour_through_a_pipe_names_its_row(self, tmp_path, pipe_holding):
+        with pipe_holding(f"{HEADER}\n0.0,1.8,1.8,80\n0.2,1.8,1.8\n".encode()) as piped:
+            code, stderr = run_cli(["calibrate", "--input", piped, "--out", str(tmp_path / "m.json")])
+        assert code == EXIT_SCHEMA and stderr == f"error: {piped}: row 2 has 3 fields, expected 4\n"
+
+    def test_a_block_that_fails_with_no_failing_row_is_a_program_fault(self, tmp_path):
+        with pytest.raises(AssertionError, match="rows 8-9 fail a block check but no row check"):
+            pipeline._raise_first_error(tmp_path / "tour.csv", tuple(LANE_HEADER.split(",")), tour_rows(2), 7, -1.0)
 
     def test_empty_timestamp_after_a_row_start(self, tmp_path):
         # the second row's first cell is read as "\n", which float() refuses
@@ -274,7 +284,7 @@ def run_cli(argv):
 DENSE_ROWS = 200_000
 # the most calibrate on that tour may add to a fresh interpreter that
 # imported the command line: 37 MB when the reader held the whole text,
-# 18.6 MB with full-length copies in DriveLog's check and resample, now 13.1
+# 18.6 MB with full-length copies in DriveLog's check and resample, now 12.8
 DENSE_PEAK_MB = 16
 _PEAK_KIB = "import resource; {code}; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
 
@@ -369,11 +379,29 @@ def assert_matches_oracle_with(path, **constants):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=csv_texts(), chunk_rows=st.integers(1, 5), block_chars=BLOCK_CHARS)
-def test_any_csv_matches_oracle(tmp_path_factory, text, chunk_rows, block_chars):
+@given(text=csv_texts(), block_chars=BLOCK_CHARS)
+def test_any_csv_matches_oracle(tmp_path_factory, text, block_chars):
     path = write(tmp_path_factory.mktemp("csv"), text)
-    # small chunks and blocks put their seams inside these short files
-    assert_matches_oracle_with(path, CSV_CHUNK_ROWS=chunk_rows, CSV_BLOCK_CHARS=block_chars)
+    # small blocks put their seams inside these short files
+    assert_matches_oracle_with(path, CSV_BLOCK_CHARS=block_chars)
+
+
+def outcome_without_path(path):
+    """outcome(read_drive_log_csv, path) less what the path sets: its
+    place in the message and the tour id, its stem."""
+    result = outcome(read_drive_log_csv, path)
+    if result[0] == "error":
+        return ("error", result[1].replace(str(path), "<path>"), *result[2:])
+    return ("log", *result[2:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=csv_texts(), block_chars=BLOCK_CHARS)
+def test_any_csv_reads_the_same_through_a_pipe(tmp_path_factory, pipe_holding, text, block_chars):
+    # a pipe can be read only once, so every error must come from that read
+    path = write(tmp_path_factory.mktemp("csv"), text)
+    with mock.patch.object(pipeline, "CSV_BLOCK_CHARS", block_chars), pipe_holding(text.encode()) as piped:
+        assert outcome_without_path(piped) == outcome_without_path(path)
 
 
 @settings(max_examples=150, deadline=None)
@@ -393,8 +421,8 @@ def test_any_csv_past_small_bounds_matches_oracle(tmp_path_factory, text, block_
 
 
 @settings(max_examples=200, deadline=None)
-@given(lane=st.booleans(), data=st.data(), chunk_rows=st.integers(1, 8))
-def test_rows_are_aligned_exactly_when_each_has_its_width(tmp_path_factory, lane, data, chunk_rows):
+@given(lane=st.booleans(), data=st.data(), block_chars=BLOCK_CHARS)
+def test_rows_are_aligned_exactly_when_each_has_its_width(tmp_path_factory, lane, data, block_chars):
     # rows of width - 1 commas, some moved from one row to another (so
     # that the total stays) and maybe one row of 0 to 2 * width; every cell
     # a number above the last, so that cells shifted into the wrong column
@@ -412,5 +440,5 @@ def test_rows_are_aligned_exactly_when_each_has_its_width(tmp_path_factory, lane
     cells = iter(range(sum(commas) + len(commas)))
     rows = [",".join(str(next(cells)) for _ in range(k + 1)) for k in commas]
     path = write(tmp_path_factory.mktemp("csv"), "\n".join([LANE_HEADER if lane else HEADER, *rows]) + "\n")
-    with mock.patch.object(pipeline, "CSV_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(pipeline, "CSV_BLOCK_CHARS", block_chars):
         assert (assert_matches_oracle(path)[0] == "log") == rows_have_width(rows, width)

@@ -14,16 +14,18 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import laneweave
+from laneweave import generator
 from laneweave.cli import EXIT_ARGUMENT, EXIT_CALIBRATION, EXIT_OK, EXIT_SCHEMA, build_parser, main
 from laneweave.core import MAX_MAGNITUDE, MAX_N_C, MAX_SMOOTHING_STEPS, SIGMA_FLOOR_STEPS, ModelParams, RunConfig
 from laneweave.errors import SchemaError
-from laneweave.generator import MAX_INPUT_BYTES, generate_profile, load_model
+from laneweave.generator import MAX_INPUT_BYTES, generate_profile, load_model, read_input
 from laneweave.markov import gaussian_kernel
 from laneweave.noise import MAX_KERNEL_TAPS, FineModel
 from laneweave.pipeline import MAX_LINE_CHARS, calibrate_from_segments, ingest_segments
@@ -319,6 +321,22 @@ def test_malformed_input_is_refused(files, name, argv, expected):
     assert not out.exists() or name == "synth_model_out_directory"
     assert not list(root.rglob("*.tmp")) and not list((root / "a_directory").iterdir())
     assert (root / "tour.csv").read_bytes() == tour_bytes
+
+
+@pytest.mark.parametrize("kind", ["model", "config"])
+def test_a_pipe_past_the_size_bound_is_refused(files, pipe_holding, kind):
+    # a pipe's size reads 0, so only the read can count its bytes
+    root = files["root"]
+    argv = {
+        "model": ["generate", "--model", "{path}", "--x0", "0", "--duration", "10"],
+        "config": ["calibrate", "--input", f"{root}/tour.csv", "--config", "{path}"],
+    }[kind]
+    with mock.patch.object(generator, "MAX_INPUT_BYTES", 100):
+        with pipe_holding(b"{}" + b" " * 98) as path:
+            assert read_input(path, kind) == {}
+        with pipe_holding(b"{}" + b" " * 99) as path:
+            code, stderr = _run([arg.format(path=path) for arg in argv] + ["--out", str(root / f"out_pipe_{kind}")])
+    assert code == EXIT_SCHEMA and stderr == f"error: {kind} file {path} is larger than 100 bytes\n"
 
 
 class TestBoundsAreChecked:
