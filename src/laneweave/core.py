@@ -26,6 +26,9 @@ MAX_N_C = 1000
 MAX_SMOOTHING_STEPS = 500
 # markov.gaussian_kernel floors sigma at this many steps of dt
 SIGMA_FLOOR_STEPS = 1 / 64
+# Most samples a tour, resampled grid or profile may hold: about 23 days
+# at 5 Hz, at tens of bytes per sample.
+MAX_SAMPLES = 10_000_000
 # Largest magnitude of every float parameter, fine-model number and fine
 # output bound: the square of any bounded number, or the product of two,
 # stays finite, and with dt >= 1 / MAX_MAGNITUDE the floored sigma squares

@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MasterSeed, OffsetSeries, RunConfig, check_seed, seed_children
+from .core import MAX_SAMPLES, MasterSeed, OffsetSeries, RunConfig, check_seed, seed_children
 from .errors import ArgumentUsageError, InsufficientDataError
-from .generator import MAX_PROFILE_STEPS, TwoLevelModel, coarse_profile, generate_profile
+from .generator import TwoLevelModel, coarse_profile, generate_profile
 from .markov import discretize
 from .noise import generate_noise, measured_coarse
 from .preprocessing import Segment
@@ -107,10 +107,10 @@ def window_steps(duration: float, dt: float) -> int:
     longest profile generate_profile builds for the artificial side."""
     steps = duration / dt
     w = round(steps) if math.isfinite(steps) else 0
-    if not 2 <= w <= MAX_PROFILE_STEPS or abs(steps - w) > 1e-6:
+    if not 2 <= w <= MAX_SAMPLES or abs(steps - w) > 1e-6:
         raise ArgumentUsageError(
             f"snippet duration {duration} is not a multiple of dt {dt} "
-            f"covering 2 to {MAX_PROFILE_STEPS} steps"
+            f"covering 2 to {MAX_SAMPLES} steps"
         )
     return w
 

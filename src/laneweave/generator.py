@@ -4,7 +4,6 @@ documents, and read and write the files around them."""
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -17,15 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MasterSeed, ModelParams, OffsetSeries, seed_children
+from .core import MAX_SAMPLES, MasterSeed, ModelParams, OffsetSeries, seed_children
 from .errors import ArgumentUsageError, SchemaError
 from .markov import COPIED_SETTINGS, CoarseModel, discretize, sample_chain, smooth_values, state_centers
 from .noise import FineModel, generate_noise
 
 FORMAT_VERSION = 1
-# Longest profile generate_profile builds: about 23 days at 5 Hz. Each
-# step holds a few float64 working arrays, and its CSV row ~40 bytes.
-MAX_PROFILE_STEPS = 10_000_000
 # Largest model or config file read (64 MiB): the largest valid model
 # file, n_c = 1000 with 21-character entries at indent=2, is about 27 MB.
 MAX_INPUT_BYTES = 64 << 20
@@ -82,8 +78,8 @@ def generate_profile(
     if not params.dt <= duration < math.inf:
         raise ArgumentUsageError(f"duration {duration!r} must be finite and at least one step")
     steps = duration / params.dt
-    if steps > MAX_PROFILE_STEPS:
-        raise ArgumentUsageError(f"duration {duration!r} s exceeds {MAX_PROFILE_STEPS} steps")
+    if steps > MAX_SAMPLES:
+        raise ArgumentUsageError(f"duration {duration!r} s exceeds {MAX_SAMPLES} steps")
     n_steps = round(steps)
     rng_coarse, rng_fine = derive_streams(seed)
     drift = coarse_profile(model, discretize(initial_offset, params.n_c), n_steps, rng_coarse)
@@ -160,7 +156,7 @@ def atomic_write_text(path, text: str) -> None:
         if path.is_dir():
             raise ArgumentUsageError(f"cannot write {path}: it is a directory")
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.chmod(tmp, 0o666 & ~_current_umask())
         os.replace(tmp, path)
@@ -190,18 +186,20 @@ def input_errors(path, kind: str):
 
 
 def read_input(path, kind: str):
-    """The JSON document a model or config file holds, decoded as
-    Path.read_text() would. A missing, unreadable, non-UTF-8, malformed or
+    """The JSON document a model or config file holds, decoded as UTF-8
+    whatever the locale. A missing, unreadable, non-UTF-8, malformed or
     oversized file (past MAX_INPUT_BYTES, counted on its one read, so a
     pipe too) raises SchemaError with a message naming the kind of file."""
     with input_errors(path, kind), open(path, "rb") as file:
         data = file.read(MAX_INPUT_BYTES + 1)
         if len(data) > MAX_INPUT_BYTES:
             raise SchemaError(f"{kind} file {path} is larger than {MAX_INPUT_BYTES} bytes")
-        text = io.TextIOWrapper(io.BytesIO(data)).read()
+        text = data.decode("utf-8")
+    # a JSONDecodeError is a ValueError, as is an integer literal past
+    # sys.get_int_max_str_digits() (4300 by default)
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{kind} file is not valid JSON: {exc}") from None
 
 

@@ -25,7 +25,7 @@ from typing import BinaryIO, NoReturn
 
 import numpy as np
 
-from .core import MAX_MAGNITUDE, DriveLog, OffsetSeries, RunConfig
+from .core import MAX_MAGNITUDE, MAX_SAMPLES, DriveLog, OffsetSeries, RunConfig
 from .errors import InsufficientDataError, SchemaError
 from .generator import TwoLevelModel, input_errors
 from .markov import CoarseModel, count_transitions, discretize, transitions_from_counts
@@ -37,9 +37,6 @@ CSV_COLUMNS = ("t", "dist_left", "dist_right", "v_lon")
 # transient lines and cell strings: some 400 rows of a 50-minute tour; at
 # twice this, reading one peaked at 1.7 MiB, not 1.1 MiB, and was no faster
 CSV_BLOCK_CHARS = 1 << 15
-# Most rows a tour may number (blank lines count), like MAX_GRID_POINTS;
-# its parsed columns hold 40 bytes per row with lane_id.
-MAX_TOUR_ROWS = 10_000_000
 # Longest tour line, so that no line is held whole before it is refused;
 # a row of five float reprs takes at most about 120 characters.
 MAX_LINE_CHARS = 4096
@@ -62,7 +59,7 @@ def read_drive_log_csv(path) -> DriveLog:
     (the newlines mark row starts); every cell goes through float(), and each
     column's values are appended to a bytearray, which grows in place and
     which the returned log's column then views without a copy. A block
-    that fails any check, MAX_TOUR_ROWS or MAX_LINE_CHARS included, is
+    that fails any check, MAX_SAMPLES or MAX_LINE_CHARS included, is
     checked again row by row from the lines in hand (see
     _raise_first_error); the blocks before it were accepted, so its first
     error is the first in file order.
@@ -86,7 +83,7 @@ def read_drive_log_csv(path) -> DriveLog:
     last_t = -math.inf
     row = 0  # of the last line of the blocks accepted
     for lines in chain([first[1:]], blocks):
-        if row + len(lines) > MAX_TOUR_ROWS or max(map(len, lines), default=0) > MAX_LINE_CHARS:
+        if row + len(lines) > MAX_SAMPLES or max(map(len, lines), default=0) > MAX_LINE_CHARS:
             _raise_first_error(path, header, lines, row, last_t)
         rows = list(filter(str.strip, lines))
         if rows:
@@ -121,12 +118,12 @@ def read_drive_log_csv(path) -> DriveLog:
 def _tour_lines(path: Path):
     """The lines of a tour file, in non-empty lists, about one per
     CSV_BLOCK_CHARS characters read: the pieces str.splitlines() cuts the
-    file's universal-newline text into, in file order, the header first,
+    file's UTF-8, universal-newline text into, in file order, the header first,
     except that a line is cut once it is past MAX_LINE_CHARS, so that no
     line is held whole past the bound. A missing, unreadable or non-UTF-8
     file raises SchemaError as generator.read_input does, the codec's
     byte position counting from the start of the buffer it decoded."""
-    with input_errors(path, "input"), open(path) as file:
+    with input_errors(path, "input"), open(path, encoding="utf-8") as file:
         tail = ""
         while True:
             block = file.read(CSV_BLOCK_CHARS)
@@ -146,13 +143,13 @@ def _raise_first_error(path: Path, header: tuple, lines: list, row: int, previou
     """Check a block's lines one by one, numbered from row + 1 and after
     the last accepted timestamp previous_t (-inf before the first row),
     raising the first SchemaError among them: a row number past
-    MAX_TOUR_ROWS or a line past MAX_LINE_CHARS (blank lines count), then
+    MAX_SAMPLES or a line past MAX_LINE_CHARS (blank lines count), then
     field count, each cell, and the timestamp. Should every line pass,
     the block's checks and these disagree, and AssertionError says so."""
     for row_number, line in enumerate(lines, start=row + 1):
-        if row_number > MAX_TOUR_ROWS:
+        if row_number > MAX_SAMPLES:
             raise SchemaError(
-                f"{path}: row {row_number} is past the {MAX_TOUR_ROWS} rows a tour may hold",
+                f"{path}: row {row_number} is past the {MAX_SAMPLES} rows a tour may hold",
                 row=row_number,
             )
         if len(line) > MAX_LINE_CHARS:

@@ -7,12 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DriveLog, ModelParams, OffsetSeries, RunConfig, relative_offset
+from .core import MAX_SAMPLES, DriveLog, ModelParams, OffsetSeries, RunConfig, relative_offset
 from .errors import InsufficientDataError, SchemaError
 
-# Most grid points resample builds from one tour, about 23 days at 5 Hz;
-# each point holds a dozen float64 working values.
-MAX_GRID_POINTS = 10_000_000
 # source rows resample checks and converts to offsets at a time, so that its
 # temporaries beyond the full-length offsets stay bounded
 RESAMPLE_SLICE_ROWS = 1 << 16
@@ -67,10 +64,10 @@ def resample(log: DriveLog, target_rate: float) -> ResampledTrack:
         raise InsufficientDataError(f"tour {log.tour_id!r}: need at least 2 valid samples, got {n_valid}")
 
     span = (t[-1] - t[0]) * target_rate
-    if not span < MAX_GRID_POINTS:
+    if not span < MAX_SAMPLES:
         raise SchemaError(
             f"tour {log.tour_id!r} spans {float(t[-1] - t[0])!r} s, more than "
-            f"{MAX_GRID_POINTS} grid points at {target_rate:g} Hz"
+            f"{MAX_SAMPLES} grid points at {target_rate:g} Hz"
         )
 
     n_grid = int(np.floor(span + 1e-9)) + 1

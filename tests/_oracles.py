@@ -136,9 +136,9 @@ def _check_line_bounds(path, row_number, line):
     """The tour reader's bounds on one line (row 0 is the header), read
     from the pipeline module when called, so that a test patching them
     patches both readers."""
-    if row_number > pipeline.MAX_TOUR_ROWS:
+    if row_number > pipeline.MAX_SAMPLES:
         raise SchemaError(
-            f"{path}: row {row_number} is past the {pipeline.MAX_TOUR_ROWS} rows a tour may hold",
+            f"{path}: row {row_number} is past the {pipeline.MAX_SAMPLES} rows a tour may hold",
             row=row_number,
         )
     if len(line) > pipeline.MAX_LINE_CHARS:
@@ -155,7 +155,7 @@ def brute_force_read_drive_log_csv(path):
     row, and each line against the row and line bounds, as it is read."""
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
     except FileNotFoundError:
         raise SchemaError(f"input file not found: {path}") from None
     if not lines:

@@ -181,7 +181,7 @@ class TestMatchesOracle:
 
 
 class TestBounds:
-    """Rows past MAX_TOUR_ROWS (blank lines count) and lines longer than
+    """Rows past MAX_SAMPLES (blank lines count) and lines longer than
     MAX_LINE_CHARS are refused as soon as they are read, naming the row,
     as is a byte that is not UTF-8 wherever it lies."""
 
@@ -190,7 +190,7 @@ class TestBounds:
         rows.insert(2, " ")
         within = write(tmp_path, "\n".join([LANE_HEADER, *rows[:4]]), "within.csv")
         past = write(tmp_path, "\n".join([LANE_HEADER, *rows]), "past.csv")
-        with mock.patch.object(pipeline, "MAX_TOUR_ROWS", 4):
+        with mock.patch.object(pipeline, "MAX_SAMPLES", 4):
             assert assert_matches_oracle(within)[0] == "log"
             assert assert_matches_oracle(past) == (
                 "error",
@@ -205,7 +205,7 @@ class TestBounds:
         rows = tour_rows(6)
         rows[1] = rows[1].replace("1.8", "1.8x")
         path = write(tmp_path, "\n".join([LANE_HEADER, *rows]))
-        with mock.patch.object(pipeline, "MAX_TOUR_ROWS", 4), mock.patch.object(pipeline, "CSV_BLOCK_CHARS", 64):
+        with mock.patch.object(pipeline, "MAX_SAMPLES", 4), mock.patch.object(pipeline, "CSV_BLOCK_CHARS", 64):
             assert assert_matches_oracle(path)[1:3] == (f"{path}: row 2, column 'dist_left': cannot parse '1.8x'", 2)
         rows = tour_rows(6)
         rows[2] = rows[1]
@@ -219,7 +219,7 @@ class TestBounds:
         rows[2] += ",1"
         path = write(tmp_path, "\n".join([LANE_HEADER, *rows]))
         with mock.patch.object(pipeline, "CSV_BLOCK_CHARS", block_chars):
-            with mock.patch.object(pipeline, "MAX_TOUR_ROWS", 2):
+            with mock.patch.object(pipeline, "MAX_SAMPLES", 2):
                 assert assert_matches_oracle(path)[1:3] == (f"{path}: row 3 is past the 2 rows a tour may hold", 3)
             rows[2] += " " * pipeline.MAX_LINE_CHARS
             path = write(tmp_path, "\n".join([LANE_HEADER, *rows]))
@@ -415,7 +415,7 @@ def test_any_csv_past_small_bounds_matches_oracle(tmp_path_factory, text, block_
     path = write(tmp_path_factory.mktemp("csv"), text)
     # small bounds put rows and lines of these short files past them
     assert_matches_oracle_with(
-        path, CSV_BLOCK_CHARS=block_chars, MAX_TOUR_ROWS=max_rows, MAX_LINE_CHARS=max_line
+        path, CSV_BLOCK_CHARS=block_chars, MAX_SAMPLES=max_rows, MAX_LINE_CHARS=max_line
     )
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import stat
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -221,6 +222,12 @@ class TestAtomicWrite:
             atomic_write_text(path, "t,x\n")
         assert os.listdir(tmp_path) == ["kept"]
         assert os.listdir(tmp_path / "kept") == []
+
+    def test_refused_rename_removes_the_temp_file(self, tmp_path):
+        with mock.patch.object(os, "replace", side_effect=PermissionError(13, "Permission denied")):
+            with pytest.raises(ArgumentUsageError, match="Permission denied"):
+                atomic_write_text(tmp_path / "out.txt", "t,x\n")
+        assert not list(tmp_path.glob(".out.txt.*.tmp"))
 
 
 def test_banded_transition_matches_hand_rows():

@@ -52,6 +52,15 @@ print(json.dumps(results))
 """
 
 
+def _subprocess_env(**changes):
+    """The environment of a child interpreter that imports the laneweave
+    under test, with the given variables set."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", **changes)
+    src = str(Path(laneweave.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def _run(argv):
     """(exit code, stderr) of one in-process CLI run; argparse's own
     rejections exit through SystemExit."""
@@ -85,6 +94,12 @@ def files(tmp_path_factory):
         path = root / name
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
         return path
+
+    def model_literal(name, section, literal, **changes):
+        """A model variant with the JSON text literal, which json.dumps
+        cannot write, in place of the string "LITERAL"."""
+        path = model_variant(name, section, **changes)
+        return text_file(path.name, path.read_text().replace('"LITERAL"', literal))
 
     no_v_min = json.loads(json.dumps(good))
     del no_v_min["params"]["v_min"]
@@ -132,6 +147,10 @@ def files(tmp_path_factory):
             model_variant("transition_text", "coarse", transition=[repr(p) for p in good["coarse"]["transition"]]),
             model_variant("taps_bool", "fine", kernel_taps=[True] + good["fine"]["kernel_taps"][1:]),
             model_variant("transition", "coarse", transition=[[1.0]]),
+            # integers past the 4300 digits int() converts, and past float range
+            model_literal("long_int", "fine", "1" * 5000, noise_halfwidth="LITERAL"),
+            model_literal("transition_huge", "coarse", "1" + "0" * 400,
+                          transition=["LITERAL"] + good["coarse"]["transition"][1:]),
             # the output bound, and twice the halfwidth, overflow
             model_variant("output_bound", "fine", noise_halfwidth=1e300, kernel_taps=[1e10] * 3),
             model_variant("noise_range", "fine", noise_halfwidth=1e308, kernel_taps=[1.0]),
@@ -161,6 +180,7 @@ def files(tmp_path_factory):
             text_file("config_list.json", "[]"),
             text_file("config_deep.json", "[" * 100_000),
             text_file("config_binary.json", b"\xff{}"),
+            text_file("config_long_int.json", '{"n_c": ' + "1" * 5000 + "}"),
             oversized[1],
             root / "a_directory",
         ],
@@ -201,15 +221,12 @@ def oversized_results(files):
         fill = {"tour": files["tour"], "model": files["model"], "file": extra.get(name)}
         out = ["--out", str(root / f"out_{name}")] if argv[0] in ("calibrate", "synth", "generate") else []
         cases[name] = [arg.format(**fill) for arg in argv] + out
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    src = str(Path(laneweave.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     completed = subprocess.run(
         [sys.executable, "-c", _BOUNDED_RUNNER.format(limit=ADDRESS_SPACE_LIMIT)],
         input=json.dumps(cases),
         capture_output=True,
         text=True,
-        env=env,
+        env=_subprocess_env(),
         timeout=120,
         check=True,
     )
@@ -293,6 +310,12 @@ MALFORMED = [
                                "--duration", "10"], 3),
     ("config_past_size_bound", ["calibrate", "--input", "{root}/tour.csv", "--config",
                                 "{root}/config_oversized.json"], 3),
+    ("model_int_past_digit_limit", ["generate", "--model", "{root}/model_long_int.json", "--x0", "0",
+                                    "--duration", "10"], 3),
+    ("config_int_past_digit_limit", ["calibrate", "--input", "{root}/tour.csv", "--config",
+                                     "{root}/config_long_int.json"], 3),
+    ("model_transition_past_float_range", ["generate", "--model", "{root}/model_transition_huge.json", "--x0", "0",
+                                           "--duration", "10"], 3),
 ]
 # the error line of the cases whose refusal no other test names
 MALFORMED_MESSAGES = {
@@ -303,6 +326,9 @@ MALFORMED_MESSAGES = {
     "tour_line_past_bound": f"row 2 is longer than {MAX_LINE_CHARS} characters",
     "model_past_size_bound": f"model_oversized.json is larger than {MAX_INPUT_BYTES} bytes",
     "config_past_size_bound": f"config_oversized.json is larger than {MAX_INPUT_BYTES} bytes",
+    "model_int_past_digit_limit": "model file is not valid JSON: Exceeds the limit (4300 digits)",
+    "config_int_past_digit_limit": "config file is not valid JSON: Exceeds the limit (4300 digits)",
+    "model_transition_past_float_range": "coarse section field 'transition' holds a number past float range",
 }
 
 
@@ -321,6 +347,35 @@ def test_malformed_input_is_refused(files, name, argv, expected):
     assert not out.exists() or name == "synth_model_out_directory"
     assert not list(root.rglob("*.tmp")) and not list((root / "a_directory").iterdir())
     assert (root / "tour.csv").read_bytes() == tour_bytes
+
+
+def _run_in_c_locale(argv):
+    """(exit code, stderr) of the CLI in a child interpreter whose locale
+    codec is ASCII: the C locale, with coercion and UTF-8 mode off."""
+    env = _subprocess_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    done = subprocess.run([sys.executable, "-m", "laneweave.cli", *argv], capture_output=True, text=True,
+                          env=env, timeout=60)
+    return done.returncode, done.stderr
+
+
+def test_a_utf8_model_loads_whatever_the_locale(files):
+    root = files["root"]
+    doc = json.loads(files["model"].read_text())
+    doc["metadata"]["note"] = "\u00e9"
+    model = root / "model_utf8_metadata.json"
+    model.write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+    out = root / "out_locale" / "profile.csv"
+    code, stderr = _run_in_c_locale(["generate", "--model", str(model), "--x0", "0", "--duration", "10",
+                                     "--out", str(out)])
+    assert code == EXIT_OK and out.exists(), stderr
+
+
+def test_a_tour_not_utf8_names_the_utf8_codec_whatever_the_locale(files):
+    root = files["root"]
+    code, stderr = _run_in_c_locale(["calibrate", "--input", str(root / "binary.csv"),
+                                     "--out", str(root / "out_locale" / "model.json")])
+    assert code == EXIT_SCHEMA and "Traceback" not in stderr, stderr
+    assert "'utf-8' codec can't decode byte 0xff" in stderr
 
 
 @pytest.mark.parametrize("kind", ["model", "config"])
