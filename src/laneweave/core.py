@@ -38,9 +38,11 @@ MAX_MAGNITUDE = 1e150
 
 def within_magnitude(value) -> bool:
     """True for a real number, not a bool, of magnitude at most MAX_MAGNITUDE.
-    A rational (an int included) is compared exactly, so 10**400 raises no
-    OverflowError; any other real as a float64, so a float32 cannot cast
-    the bound to float32 infinity."""
+    A rational (an int included) is compared exactly, so 10**400 is refused
+    without a conversion to float; any other real as a float64, so a float32
+    cannot cast the bound to float32 infinity."""
+    if type(value) in (float, int):  # the JSON numbers, without the ABC checks' cost
+        return abs(value) <= MAX_MAGNITUDE
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     if not isinstance(value, numbers.Rational):

@@ -235,20 +235,19 @@ def report_json(report: EvaluationReport, config: RunConfig) -> str:
     which words NaN and the infinities as the indenting encoder does) and
     indented here; the rest goes through json.dumps. A list's text is
     placed by a numbered stand-in string, and no number's text holds the
-    ", " that separates its items.
+    ", " that separates its items. Every list sits at the same depth,
+    document["metrics"][name][side], so every one opens on a line
+    indented by 6 spaces.
     """
     count = len(METRIC_NAMES)
     slots = [f"\0{k}" for k in range(2 * count)]
     document = report._document(slots[:count], slots[count:])
     document["config"] = config.to_dict()
-    texts = report.real_population.list_texts + report.artificial_population.list_texts
-    pieces = _LIST_SLOT.split(json.dumps(document, indent=2))
-    out = [pieces[0]]
-    for k, after in zip(pieces[1::2], pieces[2::2]):
-        line = out[-1][out[-1].rfind("\n") + 1 :]
-        out += [_indented_list(texts[int(k)], line[: len(line) - len(line.lstrip(" "))]), after]
-    out.append("\n")
-    return "".join(out)
+    texts = [
+        _indented_list(text, " " * 6)
+        for text in report.real_population.list_texts + report.artificial_population.list_texts
+    ]
+    return _LIST_SLOT.sub(lambda m: texts[int(m[1])], json.dumps(document, indent=2)) + "\n"
 
 
 def _indented_list(text: str, indent: str) -> str:

@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_SAMPLES, MasterSeed, ModelParams, OffsetSeries, seed_children
+from .core import MAX_MAGNITUDE, MAX_SAMPLES, MasterSeed, ModelParams, OffsetSeries, seed_children, within_magnitude
 from .errors import ArgumentUsageError, SchemaError
 from .markov import COPIED_SETTINGS, CoarseModel, discretize, sample_chain, smooth_values, state_centers
 from .noise import FineModel, generate_noise
@@ -133,12 +132,6 @@ def bench_generation(model: TwoLevelModel, steps: int, repetitions: int) -> dict
     }
 
 
-def _current_umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def atomic_write_text(path, text: str) -> None:
     """Write via a temp file in the same directory plus rename. The file
     gets the mode a plain open() would give it: 0666 less the umask.
@@ -155,10 +148,11 @@ def atomic_write_text(path, text: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         if path.is_dir():
             raise ArgumentUsageError(f"cannot write {path}: it is a directory")
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        name = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        os.chmod(tmp, 0o666 & ~_current_umask())
         os.replace(tmp, path)
         tmp, made = None, []
     except OSError as exc:
@@ -187,14 +181,15 @@ def input_errors(path, kind: str):
 
 def read_input(path, kind: str):
     """The JSON document a model or config file holds, decoded as UTF-8
-    whatever the locale. A missing, unreadable, non-UTF-8, malformed or
-    oversized file (past MAX_INPUT_BYTES, counted on its one read, so a
-    pipe too) raises SchemaError with a message naming the kind of file."""
+    whatever the locale, less a leading byte-order mark. A missing,
+    unreadable, non-UTF-8, malformed or oversized file (past
+    MAX_INPUT_BYTES, counted on its one read, so a pipe too) raises
+    SchemaError with a message naming the kind of file."""
     with input_errors(path, kind), open(path, "rb") as file:
         data = file.read(MAX_INPUT_BYTES + 1)
         if len(data) > MAX_INPUT_BYTES:
             raise SchemaError(f"{kind} file {path} is larger than {MAX_INPUT_BYTES} bytes")
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     # a JSONDecodeError is a ValueError, as is an integer literal past
     # sys.get_int_max_str_digits() (4300 by default)
     try:
@@ -226,24 +221,18 @@ def _require(doc: dict, key: str, context: str = "model file"):
     return doc[key]
 
 
-def _is_number(value) -> bool:
-    """A JSON number; json.loads reads true and false as bools, which are ints."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _require_floats(doc: dict, key: str, context: str) -> np.ndarray:
     value = _require(doc, key, context)
-    if not (isinstance(value, list) and all(map(_is_number, value))):
-        raise SchemaError(f"{context} field {key!r} must be a list of numbers")
-    try:
-        return np.array(value, dtype=np.float64)
-    except OverflowError:
-        raise SchemaError(f"{context} field {key!r} holds a number past float range") from None
+    if not (isinstance(value, list) and all(map(within_magnitude, value))):
+        raise SchemaError(
+            f"{context} field {key!r} must be a list of numbers of magnitude at most {MAX_MAGNITUDE:g}"
+        )
+    return np.array(value, dtype=np.float64)
 
 
 def model_from_dict(doc: dict) -> TwoLevelModel:
     version = _require(doc, "version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise SchemaError(f"unsupported model format version {version!r}")
     raw_params = _require(doc, "params")
     try:
@@ -272,14 +261,16 @@ def model_from_dict(doc: dict) -> TwoLevelModel:
     raw_fine = _require(doc, "fine")
     taps = _require_floats(raw_fine, "kernel_taps", "fine section")
     halfwidth = _require(raw_fine, "noise_halfwidth", "fine section")
-    if not _is_number(halfwidth):
-        raise SchemaError("fine section field 'noise_halfwidth' must be a number")
+    if not within_magnitude(halfwidth):
+        raise SchemaError(
+            f"fine section field 'noise_halfwidth' must be a number of magnitude at most {MAX_MAGNITUDE:g}"
+        )
     try:
-        fine = FineModel(kernel_taps=taps, noise_halfwidth=float(halfwidth))
-    except (ValueError, OverflowError) as exc:
+        fine = FineModel(kernel_taps=taps, noise_halfwidth=halfwidth)
+    except ValueError as exc:
         raise SchemaError(f"invalid fine model: {exc}") from None
 
-    metadata = doc.get("metadata") or {}
+    metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError("metadata must be a JSON object")
     return TwoLevelModel(params=params, coarse=coarse, fine=fine, metadata=metadata)

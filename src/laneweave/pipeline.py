@@ -118,13 +118,16 @@ def read_drive_log_csv(path) -> DriveLog:
 def _tour_lines(path: Path):
     """The lines of a tour file, in non-empty lists, about one per
     CSV_BLOCK_CHARS characters read: the pieces str.splitlines() cuts the
-    file's UTF-8, universal-newline text into, in file order, the header first,
-    except that a line is cut once it is past MAX_LINE_CHARS, so that no
-    line is held whole past the bound. A missing, unreadable or non-UTF-8
-    file raises SchemaError as generator.read_input does, the codec's
-    byte position counting from the start of the buffer it decoded."""
+    file's UTF-8, universal-newline text, less a leading byte-order mark,
+    into, in file order, the header first, except that a line is cut once
+    it is past MAX_LINE_CHARS, so that no line is held whole past the
+    bound. A missing, unreadable or non-UTF-8 file raises SchemaError as
+    generator.read_input does, the codec's byte position counting from the
+    start of the buffer it decoded."""
     with input_errors(path, "input"), open(path, encoding="utf-8") as file:
-        tail = ""
+        # the line carried into the next block starts as the first
+        # character, unless that is a byte-order mark
+        tail = file.read(1).removeprefix("\ufeff")
         while True:
             block = file.read(CSV_BLOCK_CHARS)
             lines = (tail + block).splitlines()

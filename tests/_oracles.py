@@ -155,7 +155,7 @@ def brute_force_read_drive_log_csv(path):
     row, and each line against the row and line bounds, as it is read."""
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
     except FileNotFoundError:
         raise SchemaError(f"input file not found: {path}") from None
     if not lines:

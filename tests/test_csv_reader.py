@@ -107,6 +107,17 @@ class TestMatchesOracle:
     def test_explicit_cases(self, tmp_path, text):
         assert_matches_oracle(write(tmp_path, text))
 
+    @pytest.mark.parametrize("block_chars", [1, 7, 1 << 16])
+    def test_a_byte_order_mark_is_dropped(self, tmp_path, block_chars):
+        text = "\n".join([LANE_HEADER, *tour_rows(20)]) + "\n"
+        plain = write(tmp_path, text)
+        # the same stem, so the same tour id
+        (tmp_path / "marked").mkdir()
+        marked = write(tmp_path / "marked", "\ufeff" + text)
+        with mock.patch.object(pipeline, "CSV_BLOCK_CHARS", block_chars):
+            assert outcome(read_drive_log_csv, marked) == outcome(read_drive_log_csv, plain)
+        assert assert_matches_oracle(marked)[0] == "log"
+
     def test_missing_file(self, tmp_path):
         assert_matches_oracle(tmp_path / "absent.csv")
 
@@ -341,6 +352,8 @@ def csv_texts(draw):
     lines = [LANE_HEADER if lane else HEADER]
     if draw(st.integers(0, 19)) == 0:
         lines[0] = draw(st.sampled_from(["t,dist_left,v_lon", LANE_HEADER + ",x", " " + HEADER]))
+    if draw(st.integers(0, 9)) == 0:
+        lines[0] = "\ufeff" + lines[0]  # a byte-order mark, which both readers drop
     t = 0.0
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.integers(0, 24))

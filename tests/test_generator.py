@@ -208,7 +208,9 @@ class TestAtomicWrite:
         path = tmp_path / "out.txt"
         previous = os.umask(umask)
         try:
-            atomic_write_text(path, "t,x\n")
+            # the kernel applies the umask, so the process-wide one is never read or set
+            with mock.patch.object(os, "umask", side_effect=AssertionError("os.umask called")):
+                atomic_write_text(path, "t,x\n")
         finally:
             os.umask(previous)
         assert stat.S_IMODE(path.stat().st_mode) == mode

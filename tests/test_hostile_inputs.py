@@ -84,8 +84,10 @@ def files(tmp_path_factory):
     good = json.loads(model.read_text())
 
     def model_variant(name, section, **changes):
+        """A model variant with changes to a section, or to the document
+        itself when section is None."""
         doc = json.loads(json.dumps(good))
-        doc[section].update(changes)
+        (doc if section is None else doc[section]).update(changes)
         path = root / f"model_{name}.json"
         path.write_text(json.dumps(doc))
         return path
@@ -151,6 +153,16 @@ def files(tmp_path_factory):
             model_literal("long_int", "fine", "1" * 5000, noise_halfwidth="LITERAL"),
             model_literal("transition_huge", "coarse", "1" + "0" * 400,
                           transition=["LITERAL"] + good["coarse"]["transition"][1:]),
+            # numbers json.loads reads, but not of magnitude at most 1e150
+            model_literal("taps_nan", "fine", "NaN", kernel_taps=["LITERAL"] + good["fine"]["kernel_taps"][1:]),
+            model_literal("centers_inf", "coarse", "-Infinity",
+                          state_centers=["LITERAL"] + good["coarse"]["state_centers"][1:]),
+            model_variant("halfwidth_huge", "fine", noise_halfwidth=10**400),
+            # a version or metadata of the wrong JSON type
+            model_variant("version_true", None, version=True),
+            model_variant("metadata_false", None, metadata=False),
+            model_variant("metadata_list", None, metadata=[]),
+            model_variant("metadata_null", None, metadata=None),
             # the output bound, and twice the halfwidth, overflow
             model_variant("output_bound", "fine", noise_halfwidth=1e300, kernel_taps=[1e10] * 3),
             model_variant("noise_range", "fine", noise_halfwidth=1e308, kernel_taps=[1.0]),
@@ -316,6 +328,9 @@ MALFORMED = [
                                      "{root}/config_long_int.json"], 3),
     ("model_transition_past_float_range", ["generate", "--model", "{root}/model_transition_huge.json", "--x0", "0",
                                            "--duration", "10"], 3),
+    *[(f"model_{name}", ["generate", "--model", f"{{root}}/model_{name}.json", "--x0", "0", "--duration", "10"], 3)
+      for name in ("taps_nan", "centers_inf", "halfwidth_huge", "version_true", "metadata_false", "metadata_list",
+                   "metadata_null")],
 ]
 # the error line of the cases whose refusal no other test names
 MALFORMED_MESSAGES = {
@@ -328,7 +343,16 @@ MALFORMED_MESSAGES = {
     "config_past_size_bound": f"config_oversized.json is larger than {MAX_INPUT_BYTES} bytes",
     "model_int_past_digit_limit": "model file is not valid JSON: Exceeds the limit (4300 digits)",
     "config_int_past_digit_limit": "config file is not valid JSON: Exceeds the limit (4300 digits)",
-    "model_transition_past_float_range": "coarse section field 'transition' holds a number past float range",
+    "model_transition_past_float_range": (
+        "coarse section field 'transition' must be a list of numbers of magnitude at most 1e+150"
+    ),
+    "model_taps_nan": "fine section field 'kernel_taps' must be a list of numbers of magnitude at most 1e+150",
+    "model_centers_inf": "coarse section field 'state_centers' must be a list of numbers of magnitude at most 1e+150",
+    "model_halfwidth_huge": "fine section field 'noise_halfwidth' must be a number of magnitude at most 1e+150",
+    "model_version_true": "unsupported model format version True",
+    "model_metadata_false": "metadata must be a JSON object",
+    "model_metadata_list": "metadata must be a JSON object",
+    "model_metadata_null": "metadata must be a JSON object",
 }
 
 
@@ -368,6 +392,24 @@ def test_a_utf8_model_loads_whatever_the_locale(files):
     code, stderr = _run_in_c_locale(["generate", "--model", str(model), "--x0", "0", "--duration", "10",
                                      "--out", str(out)])
     assert code == EXIT_OK and out.exists(), stderr
+
+
+def test_files_with_a_byte_order_mark_read_as_without_whatever_the_locale(files):
+    # a leading byte-order mark is dropped from a tour, a model and a config
+    root = files["root"]
+    reports = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        inputs = root / f"bom_{len(mark)}"
+        inputs.mkdir()
+        for name, data in [("tour.csv", files["tour"].read_bytes()), ("model.json", files["model"].read_bytes()),
+                           ("config.json", b'{"v_min": 40.0}')]:
+            (inputs / name).write_bytes(mark + data)
+        code, stderr = _run_in_c_locale(["evaluate", "--model", str(inputs / "model.json"),
+                                         "--input", str(inputs / "tour.csv"), "--config", str(inputs / "config.json"),
+                                         "--modes", "shift", "--out", str(inputs / "out")])
+        assert code == EXIT_OK, stderr
+        reports.append((inputs / "out" / "report_shift.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_a_tour_not_utf8_names_the_utf8_codec_whatever_the_locale(files):
