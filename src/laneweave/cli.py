@@ -50,7 +50,7 @@ EXIT_CODES = {
 # The RunConfig fields each command reads, one flag each (a config file may
 # hold any key); evaluate takes every other ModelParams field from the model.
 EVALUATE_SETTINGS = ("v_min", "snippet_duration", "jump_threshold", "guard_steps")
-CALIBRATE_SETTINGS = tuple(f.name for f in fields(RunConfig) if f.name != "snippet_duration")
+CALIBRATE_SETTINGS = tuple(f.name for f in fields(RunConfig) if f.init and f.name != "snippet_duration")
 
 
 def resolve_config(args: argparse.Namespace, base: ModelParams | None = None) -> RunConfig:
@@ -59,6 +59,7 @@ def resolve_config(args: argparse.Namespace, base: ModelParams | None = None) ->
     settings = asdict(RunConfig())
     if base is not None:
         settings.update(asdict(base))
+    del settings["sample_rate"]  # worked out from the resolved dt, not the starting point's
     names = {f.name for f in fields(RunConfig)}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -74,7 +75,7 @@ def resolve_config(args: argparse.Namespace, base: ModelParams | None = None) ->
         if value is not None:
             settings[key] = value
     try:
-        return RunConfig(**settings)
+        return RunConfig.from_dict(settings)
     except (TypeError, ValueError) as exc:
         raise ArgumentUsageError(f"invalid configuration: {exc}") from None
 
@@ -119,7 +120,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     mismatched = [
         f.name
         for f in fields(ModelParams)
-        if f.name not in EVALUATE_SETTINGS and getattr(config, f.name) != getattr(model.params, f.name)
+        if f.init and f.name not in EVALUATE_SETTINGS and getattr(config, f.name) != getattr(model.params, f.name)
     ]
     if mismatched:
         raise ArgumentUsageError(

@@ -26,6 +26,8 @@ MAX_N_C = 1000
 MAX_SMOOTHING_STEPS = 500
 # markov.gaussian_kernel floors sigma at this many steps of dt
 SIGMA_FLOOR_STEPS = 1 / 64
+# Most floats of the spectral fit's basis, (window_length // 2 + 1) * knot_count
+MAX_FIT_BASIS = 1 << 21
 # Most samples a tour, resampled grid or profile may hold: about 23 days
 # at 5 Hz, at tens of bytes per sample.
 MAX_SAMPLES = 10_000_000
@@ -65,11 +67,11 @@ class ModelParams:
     smoothing_support: float = 1.0
     cap_threshold: float = 0.03
     v_min: float = 40.0
-    sample_rate: float = 5.0
+    sample_rate: float = field(init=False)  # no setting: always 1 / dt
     snippet_duration: float = 10.0
 
     def __post_init__(self):
-        for f in fields(self):
+        for f in (f for f in fields(self) if f.init):
             value = getattr(self, f.name)
             if isinstance(f.default, int):
                 if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -82,6 +84,7 @@ class ModelParams:
             raise ValueError(f"n_c must lie in [2, {MAX_N_C}], got {self.n_c}")
         if self.dt < 1 / MAX_MAGNITUDE:
             raise ValueError(f"dt must be at least {1 / MAX_MAGNITUDE:g}, got {self.dt}")
+        object.__setattr__(self, "sample_rate", 1.0 / self.dt)
         if not 0 < self.smoothing_sigma <= self.smoothing_support:
             raise ValueError("smoothing_sigma must be positive and at most smoothing_support")
         if not 1 <= self.smoothing_support / self.dt <= MAX_SMOOTHING_STEPS:
@@ -91,10 +94,16 @@ class ModelParams:
             )
         if self.cap_threshold <= 0:
             raise ValueError(f"cap_threshold must be positive, got {self.cap_threshold!r}")
-        if abs(self.sample_rate * self.dt - 1.0) > 1e-9:
-            raise ValueError(
-                f"sample_rate ({self.sample_rate} Hz) and dt ({self.dt} s) disagree"
-            )
+
+    @classmethod
+    def from_dict(cls, settings: dict):
+        """The parameters of a model file's params or a config echo, whose
+        sample_rate, if any, must agree with dt within 1e-9; 1 / dt is kept."""
+        params = cls(**{key: value for key, value in settings.items() if key != "sample_rate"})
+        rate = settings.get("sample_rate", params.sample_rate)
+        if not (within_magnitude(rate) and abs(rate * params.dt - 1.0) <= 1e-9):
+            raise ValueError(f"sample_rate ({rate!r} Hz) and dt ({params.dt} s) disagree")
+        return params
 
 
 @dataclass(frozen=True)
@@ -116,9 +125,11 @@ class RunConfig(ModelParams):
         # the spectral fit places knot_count knots on the window's rFFT bins
         if self.knot_count > self.window_length // 2 + 1:
             raise ValueError(f"knot_count {self.knot_count} exceeds the window's frequency bins")
+        if (self.window_length // 2 + 1) * self.knot_count > MAX_FIT_BASIS:
+            raise ValueError(f"window_length and knot_count need a fit basis of over {MAX_FIT_BASIS} floats")
 
     def model_params(self) -> ModelParams:
-        return ModelParams(**{f.name: getattr(self, f.name) for f in fields(ModelParams)})
+        return ModelParams(**{f.name: getattr(self, f.name) for f in fields(ModelParams) if f.init})
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -49,12 +49,11 @@ class EvalMode(str, Enum):
 
     @classmethod
     def parse(cls, name: str) -> "EvalMode":
-        key = str(name).strip().lower()
-        for mode in cls:
-            if key in (mode.value, mode.name.lower()):
-                return mode
-        valid = ", ".join(mode.value for mode in cls)
-        raise ArgumentUsageError(f"unknown evaluation mode {name!r}; valid modes: {valid}")
+        try:
+            return cls(str(name).strip().lower())
+        except ValueError:
+            valid = ", ".join(mode.value for mode in cls)
+            raise ArgumentUsageError(f"unknown evaluation mode {name!r}; valid modes: {valid}") from None
 
 
 def parse_modes(names: str) -> list[EvalMode]:

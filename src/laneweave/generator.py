@@ -236,7 +236,7 @@ def model_from_dict(doc: dict) -> TwoLevelModel:
         raise SchemaError(f"unsupported model format version {version!r}")
     raw_params = _require(doc, "params")
     try:
-        params = ModelParams(**{name: raw_params[name] for name in _PARAM_FILE_FIELDS})
+        params = ModelParams.from_dict({name: raw_params[name] for name in _PARAM_FILE_FIELDS})
     except KeyError as exc:
         raise SchemaError(f"params section is missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

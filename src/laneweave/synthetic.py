@@ -71,8 +71,8 @@ KERNEL_FAMILIES = tuple(KERNEL_BUILDERS)
 def make_model(spec: SyntheticSpec) -> TwoLevelModel:
     """Deterministic ground-truth model for the given recipe."""
     try:
-        params = ModelParams(n_c=spec.n_c, dt=spec.dt, sample_rate=1.0 / spec.dt)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        params = ModelParams(n_c=spec.n_c, dt=spec.dt)
+    except (TypeError, ValueError) as exc:
         raise ArgumentUsageError(f"invalid model parameters: {exc}") from None
     # checked for every family: each writes it into the model's metadata
     if not 0.0 <= spec.stay_probability <= 1.0:

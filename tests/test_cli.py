@@ -464,12 +464,11 @@ class TestEvaluate:
         assert load_model(model).metadata["config"]["knot_count"] == 4
 
     def test_segments_take_the_model_step(self, tmp_path, model_file):
-        # dt and sample_rate agree within ModelParams' tolerance, so the
-        # grid step 1 / sample_rate is not dt itself
+        # for this dt, 1 / (1 / dt) != dt: the grid step 1 / sample_rate
+        # is not dt itself
         document = json.loads(model_file.read_text())
-        document["params"].update(
-            dt=1000.0, sample_rate=0.0010000000005, smoothing_sigma=1000.0, smoothing_support=1000.0
-        )
+        dt = 1000.000000002
+        document["params"].update(dt=dt, sample_rate=1 / dt, smoothing_sigma=dt, smoothing_support=dt)
         model = tmp_path / "m1000.json"
         model.write_text(json.dumps(document))
         tour = tmp_path / "slow_grid.csv"
@@ -481,7 +480,8 @@ class TestEvaluate:
     def test_model_fields_come_from_the_model(self, tmp_path, tour_csv):
         model = tmp_path / "m10.json"
         args = ["calibrate", "--input", str(tour_csv), "--out", str(model)]
-        assert main(args + ["--dt", "0.1", "--sample-rate", "10"]) == EXIT_OK
+        assert main(args + ["--dt", "0.1"]) == EXIT_OK
+        assert '"sample_rate": 10.0' in model.read_text()
         out_dir = tmp_path / "r"
         args = ["evaluate", "--model", str(model), "--input", str(tour_csv)]
         assert main(args + ["--modes", "shift", "--out", str(out_dir)]) == EXIT_OK
@@ -591,7 +591,7 @@ class TestConfigResolution:
             (
                 ["calibrate", "--input", "t.csv", "--out", "m.json"],
                 CALIBRATE_SETTINGS,
-                {f.name for f in fields(RunConfig)} - {"snippet_duration"},
+                {f.name for f in fields(RunConfig) if f.init} - {"snippet_duration"},
             ),
             (
                 ["evaluate", "--model", "m.json", "--input", "t.csv", "--out", "r"],
@@ -611,6 +611,7 @@ class TestConfigResolution:
                 continue
             offered.add(f.name)
         assert offered == set(declared) == expected
+        assert "sample_rate" not in offered  # worked out from dt
 
     def test_file_then_flag_precedence(self, tmp_path):
         config_file = tmp_path / "config.json"
@@ -624,6 +625,22 @@ class TestConfigResolution:
         assert config.n_c == 8  # flag beats file
         assert config.jump_threshold == 0.3  # file beats default
         assert config.dt == 0.2  # default survives
+
+    def test_config_file_and_its_echo_give_the_flags_model(self, tmp_path, tour_csv):
+        # dt alone sets the step, from a flag or a config file, and a
+        # model's config echo fed back gives that model again
+        def calibrate(name, *flags):
+            out = tmp_path / f"{name}.json"
+            assert main(["calibrate", "--input", str(tour_csv), "--out", str(out), *flags]) == EXIT_OK
+            return [line for line in out.read_text().splitlines() if '"created_at"' not in line]
+
+        flagged = calibrate("flag", "--dt", "0.1")
+        assert '    "sample_rate": 10.0' in flagged  # the params entry
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"dt": 0.1}))
+        assert calibrate("file", "--config", str(config_file)) == flagged
+        config_file.write_text(json.dumps(load_model(tmp_path / "flag.json").metadata["config"]))
+        assert calibrate("echo", "--config", str(config_file)) == flagged
 
     def test_unknown_key_rejected(self, tmp_path):
         config_file = tmp_path / "config.json"
@@ -658,6 +675,8 @@ class TestConfigResolution:
             ([], {"jump_threshold": 0}),
             ([], {"v_min": True}),
             ([], {"jump_threshold": True}),
+            ([], {"sample_rate": 4.0}),
+            (["--dt", "0.1"], {"sample_rate": 5.0}),
         ],
     )
     def test_invalid_run_setting_is_argument_error(self, tmp_path, tour_csv, flags, document):

@@ -110,7 +110,7 @@ class TestModelParams:
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
-            ModelParams(**kwargs)
+            ModelParams.from_dict(kwargs)
 
     @pytest.mark.parametrize("n_c", [20.0, True, "20"])
     def test_n_c_must_be_integer(self, n_c):
@@ -127,10 +127,15 @@ class TestModelParams:
             ModelParams(**{name: value})
 
     def test_consistent_rate_accepted(self):
-        ModelParams(dt=0.1, sample_rate=10.0)
+        # the rate is worked out from dt, and a given one is checked against it
+        assert ModelParams(dt=0.1).sample_rate == 10.0
+        assert ModelParams.from_dict({"dt": 0.1, "sample_rate": 10.0}) == ModelParams(dt=0.1)
+        with pytest.raises(TypeError):
+            ModelParams(dt=0.1, sample_rate=10.0)
 
 
-# each RunConfig field with the wrong values for the type of its default
+# each RunConfig field with the wrong values for the type of its default;
+# sample_rate, worked out from dt, is checked where a dict of settings gives one
 WRONG_TYPED = [
     (f.name, value, TypeError if isinstance(f.default, int) else ValueError)
     for f in fields(RunConfig)
@@ -143,7 +148,7 @@ WRONG_TYPED = [
 )
 def test_every_field_is_checked_by_its_type(name, value, error):
     with pytest.raises(error, match=name):
-        RunConfig(**{name: value})
+        RunConfig.from_dict({name: value})
 
 
 class TestOffsetSeries:

@@ -187,10 +187,11 @@ class TestKolmogorovSmirnov:
 class TestRunMode:
     def test_mode_parsing(self):
         assert EvalMode.parse("shift") is EvalMode.SHIFT_TEST
-        assert EvalMode.parse("FULL") is EvalMode.FULL
-        assert EvalMode.parse("coarse_only") is EvalMode.COARSE_ONLY
-        with pytest.raises(ValueError, match="valid modes"):
-            EvalMode.parse("sideways")
+        assert EvalMode.parse(" FULL ") is EvalMode.FULL
+        # a mode is one of its four names, never an enum member's name
+        for name in ("sideways", "coarse_only"):
+            with pytest.raises(ValueError, match="valid modes: shift, coarse, fine, full"):
+                EvalMode.parse(name)
 
     def test_shift_on_zero_fine_data_is_exact(self, reference_model):
         center = state_centers(20)[12]

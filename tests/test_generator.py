@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laneweave.core import ModelParams
 from laneweave.errors import ArgumentUsageError, SchemaError
@@ -90,7 +91,7 @@ class TestModelConsistency:
     # params differing from the coarse model's copy in one setting each
     @pytest.mark.parametrize(
         "changes",
-        [{"n_c": 10}, {"dt": 0.1, "sample_rate": 10.0}, {"smoothing_sigma": 0.2}, {"smoothing_support": 2.0}],
+        [{"n_c": 10}, {"dt": 0.1}, {"smoothing_sigma": 0.2}, {"smoothing_support": 2.0}],
         ids=COPIED_SETTINGS,
     )
     def test_copied_setting_mismatch_rejected(self, reference_model, changes):
@@ -103,12 +104,13 @@ class TestModelConsistency:
 class TestPersistence:
     def test_from_params_model_round_trips_to_the_same_bytes(self, reference_model, tmp_path):
         # settings off the defaults, so that a setting lost on the way shows
-        params = ModelParams(n_c=7, dt=0.25, sample_rate=4.0, smoothing_sigma=0.3, smoothing_support=0.75)
+        params = ModelParams(n_c=7, dt=0.25, smoothing_sigma=0.3, smoothing_support=0.75)
         coarse = CoarseModel.from_params(params, banded_transition(7, 0.8))
         model = TwoLevelModel(params, coarse, reference_model.fine)
         save_model(model, tmp_path / "model.json")
         loaded = load_model(tmp_path / "model.json")
         assert [getattr(loaded.coarse, name) for name in COPIED_SETTINGS] == [7, 0.25, 0.3, 0.75]
+        assert loaded.params == params and loaded.params.sample_rate == 4.0
         a = generate_profile(model, 0.1, 60.0, 5).values
         assert a.tobytes() == generate_profile(loaded, 0.1, 60.0, 5).values.tobytes()
 
@@ -128,6 +130,14 @@ class TestPersistence:
         assert np.array_equal(loaded.fine.kernel_taps, reference_model.fine.kernel_taps)
         assert loaded.params == reference_model.params
         assert loaded.metadata == reference_model.metadata
+
+    @settings(max_examples=50, deadline=None)
+    @given(dt=st.floats(0.002, 1.0))
+    def test_rate_within_tolerance_loads_as_one_over_dt(self, reference_model, dt):
+        doc = model_to_dict(reference_model)
+        doc["params"].update(dt=dt, sample_rate=(1 / dt) * (1 + 5e-10))
+        params = model_from_dict(doc).params
+        assert params.dt == dt and params.sample_rate == 1 / dt
 
     def test_row_sum_violation_names_row(self, reference_model):
         doc = model_to_dict(reference_model)

@@ -174,6 +174,9 @@ def files(tmp_path_factory):
                           smoothing_sigma=1e-200, smoothing_support=1e-200),
             model_variant("huge_dt", "params", dt=1e200, sample_rate=1e-200,
                           smoothing_sigma=1e200, smoothing_support=1e200),
+            # a sample_rate that is no number, or that disagrees with dt
+            model_variant("rate_text", "params", sample_rate="5"),
+            model_variant("rate_disagrees", "params", sample_rate=4.0),
             text_file("model_no_v_min.json", json.dumps(no_v_min)),
             text_file("model_truncated.json", model.read_text()[:200]),
             text_file("model_deep.json", "[" * 100_000),
@@ -211,9 +214,10 @@ OVERSIZED = [
     ("calibrate_n_c", ["calibrate", "--input", "{tour}", "--n-c", "100000000"], 2),
     ("synth_n_c", ["synth", "--n-c", "100000000"], 2),
     ("synth_dt", ["synth", "--dt", "1e-9"], 2),
-    ("calibrate_dt", ["calibrate", "--input", "{tour}", "--dt", "1e-9", "--sample-rate", "1e9"], 2),
-    ("calibrate_grid_rate", ["calibrate", "--input", "{tour}", "--dt", "1e-6", "--sample-rate", "1e6",
+    ("calibrate_dt", ["calibrate", "--input", "{tour}", "--dt", "1e-9"], 2),
+    ("calibrate_grid_rate", ["calibrate", "--input", "{tour}", "--dt", "1e-6",
                              "--smoothing-sigma", "1e-4", "--smoothing-support", "1e-4"], 3),
+    ("calibrate_fit_basis", ["calibrate", "--input", "{tour}", "--window-length", "8192", "--knot-count", "4097"], 2),
     ("tour_time_span", ["calibrate", "--input", "{file}"], 3),
 ]
 
@@ -330,7 +334,8 @@ MALFORMED = [
                                            "--duration", "10"], 3),
     *[(f"model_{name}", ["generate", "--model", f"{{root}}/model_{name}.json", "--x0", "0", "--duration", "10"], 3)
       for name in ("taps_nan", "centers_inf", "halfwidth_huge", "version_true", "metadata_false", "metadata_list",
-                   "metadata_null")],
+                   "metadata_null", "rate_text", "rate_disagrees")],
+    ("synth_dt_zero", ["synth", "--dt", "0"], 2),
 ]
 # the error line of the cases whose refusal no other test names
 MALFORMED_MESSAGES = {
@@ -353,6 +358,9 @@ MALFORMED_MESSAGES = {
     "model_metadata_false": "metadata must be a JSON object",
     "model_metadata_list": "metadata must be a JSON object",
     "model_metadata_null": "metadata must be a JSON object",
+    "model_rate_text": "invalid params: sample_rate ('5' Hz) and dt (0.2 s) disagree",
+    "model_rate_disagrees": "invalid params: sample_rate (4.0 Hz) and dt (0.2 s) disagree",
+    "synth_dt_zero": "invalid model parameters: dt must be at least 1e-150, got 0.0",
 }
 
 
@@ -455,11 +463,11 @@ class TestBoundsAreChecked:
 
     def test_dt(self):
         for dt in (1 / MAX_MAGNITUDE, MAX_MAGNITUDE):
-            assert ModelParams(dt=dt, sample_rate=1 / dt, smoothing_sigma=dt, smoothing_support=dt).dt == dt
-        # below the bound the matching sample_rate is past it, and is refused first
+            params = ModelParams(dt=dt, smoothing_sigma=dt, smoothing_support=dt)
+            assert (params.dt, params.sample_rate) == (dt, 1 / dt)
         for dt in (1 / MAX_MAGNITUDE / 2, MAX_MAGNITUDE * 2):
-            with pytest.raises(ValueError, match="dt|sample_rate"):
-                ModelParams(dt=dt, sample_rate=1 / dt, smoothing_sigma=dt, smoothing_support=dt)
+            with pytest.raises(ValueError, match="^dt must be"):
+                ModelParams(dt=dt, smoothing_sigma=dt, smoothing_support=dt)
 
     def test_dt_range_keeps_the_smoothing_kernel_normal(self):
         # the smallest floored sigma squares to a normal float, and the

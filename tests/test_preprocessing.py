@@ -207,12 +207,10 @@ class TestExtractSegments:
             extract_segments(track, params)
 
     def test_segments_take_the_model_step(self):
-        # the rate agrees with dt within ModelParams' tolerance, so the
-        # grid step 1 / sample_rate differs from dt in its last digits
-        params = ModelParams(
-            dt=1000.0, sample_rate=0.0010000000005, smoothing_sigma=1000.0, smoothing_support=1000.0
-        )
-        t = np.arange(10) * 1000.0
+        # for this dt, 1 / (1 / dt) != dt: the grid step 1 / sample_rate
+        # differs from dt in its last digit
+        params = ModelParams(dt=0.2294747496103047)
+        t = np.arange(10) * params.dt
         track = resample(log_from_offsets(t, np.zeros(10), np.full(10, 80.0)), params.sample_rate)
         assert track.dt != params.dt
         (segment,) = extract_segments(track, params)

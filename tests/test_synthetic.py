@@ -67,7 +67,7 @@ class TestTransitionFamilies:
 )
 def test_every_spec_that_passes_the_checks_builds_its_model(family, kernel, n_c, dt, p):
     try:
-        ModelParams(n_c=n_c, dt=dt, sample_rate=1.0 / dt)
+        ModelParams(n_c=n_c, dt=dt)
     except ValueError:
         assume(False)
     model = make_model(SyntheticSpec(n_c=n_c, dt=dt, family=family, stay_probability=p, kernel=kernel))
