@@ -26,7 +26,7 @@ from .generator import (
     save_model,
 )
 from .pipeline import (
-    calibrate_from_segments,
+    calibrate_tours,
     format_drive_log_csv,
     format_profile_csv,
     ingest_segments,
@@ -86,13 +86,12 @@ def _utc_now() -> str:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    segments = ingest_segments(args.input, config)
     metadata = {
         "source_tours": [Path(p).stem for p in args.input],
         "created_at": _utc_now(),
         "config": config.to_dict(),
     }
-    model, summary = calibrate_from_segments(segments, config, metadata)
+    model, summary = calibrate_tours(args.input, config, metadata)
     save_model(model, args.out)
     visits = np.asarray(summary["row_visits"])
     print(f"calibrated model written to {args.out}")

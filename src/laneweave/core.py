@@ -183,9 +183,9 @@ class DriveLog:
     def __len__(self) -> int:
         return self.t.size
 
-    def valid_mask(self, rows: slice = slice(None)) -> np.ndarray:
+    def valid_mask(self, rows=slice(None)) -> np.ndarray:
         """True where the sample yields a usable lane position, over the
-        given rows (all by default)."""
+        given rows, a slice or an index array (all by default)."""
         return (
             np.isfinite(self.t[rows])
             & np.isfinite(self.v_lon[rows])

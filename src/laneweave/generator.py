@@ -183,10 +183,13 @@ def read_input(path, kind: str):
     """The JSON document a model or config file holds, decoded as UTF-8
     whatever the locale, less a leading byte-order mark. A missing,
     unreadable, non-UTF-8, malformed or oversized file (past
-    MAX_INPUT_BYTES, counted on its one read, so a pipe too) raises
+    MAX_INPUT_BYTES, counted as it is read, so a pipe too) raises
     SchemaError with a message naming the kind of file."""
     with input_errors(path, kind), open(path, "rb") as file:
-        data = file.read(MAX_INPUT_BYTES + 1)
+        # in chunks, as one read of the bound would allocate all of it
+        data = bytearray()
+        while len(data) <= MAX_INPUT_BYTES and (chunk := file.read(1 << 16)):
+            data += chunk
         if len(data) > MAX_INPUT_BYTES:
             raise SchemaError(f"{kind} file {path} is larger than {MAX_INPUT_BYTES} bytes")
         text = data.decode("utf-8").removeprefix("\ufeff")

@@ -69,17 +69,17 @@ def smooth_values(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 def count_transitions(state_segments: Iterable[np.ndarray], n_c: int) -> np.ndarray:
     """Count a->b steps within each segment; segment boundaries contribute
-    nothing. Every step's flat index a * n_c + b is counted in one bincount."""
-    steps = [np.empty(0, dtype=np.int64)]
+    nothing. Each segment's flat indices a * n_c + b are counted in one
+    bincount, so one segment's are held at a time."""
+    counts = np.zeros(n_c * n_c, dtype=np.int64)
     for seg in state_segments:
         seg = np.asarray(seg, dtype=np.int64)
         if seg.size < 2:
             continue
         if np.any((seg < 0) | (seg >= n_c)):
             raise ValueError("state index out of range")
-        steps.append(seg[:-1] * n_c + seg[1:])
-    counts = np.bincount(np.concatenate(steps), minlength=n_c * n_c)
-    return counts.astype(np.int64, copy=False).reshape(n_c, n_c)
+        counts += np.bincount(seg[:-1] * n_c + seg[1:], minlength=n_c * n_c)
+    return counts.reshape(n_c, n_c)
 
 
 def transitions_from_counts(counts: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -91,32 +91,44 @@ def cap(phi: OffsetSeries, threshold: float) -> OffsetSeries:
     return OffsetSeries(phi.dt, np.clip(phi.values, -threshold, threshold))
 
 
+def window_magnitudes(segments: Sequence[np.ndarray], window_length: int) -> np.ndarray:
+    """|rfft| of each rectangular window, a row each, in order: windows
+    advance by window_length * (1 - OVERLAP) samples, within a segment."""
+    if window_length < 2:
+        raise ValueError("window_length must be >= 2")
+    hop = max(1, int(round(window_length * (1.0 - OVERLAP))))
+    starts = [range(0, v.size - window_length + 1, hop) for v in segments]
+    magnitudes = np.empty((sum(map(len, starts)), window_length // 2 + 1))
+    rows = iter(magnitudes)
+    for v, segment_starts in zip(segments, starts):
+        for start in segment_starts:
+            np.abs(np.fft.rfft(v[start : start + window_length]), out=next(rows))
+    return magnitudes
+
+
+def _mean_row(blocks: Iterable[np.ndarray], window_length: int) -> tuple[np.ndarray, int]:
+    # row by row from zeros, in order, so that how the rows are cut into
+    # blocks changes no bit (a sum along an axis would)
+    total = np.zeros(window_length // 2 + 1)
+    count = 0
+    for block in blocks:
+        for row in block:
+            total += row
+        count += len(block)
+    if count == 0:
+        raise InsufficientDataError(f"no segment provides a complete {window_length}-sample spectral window")
+    return total / count, count
+
+
 def average_magnitude_spectrum(
     segments: Sequence[np.ndarray],
     window_length: int = RunConfig.window_length,
     *,
     dt: float,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Mean rFFT magnitude over fixed rectangular windows.
-
-    Windows advance by window_length * (1 - OVERLAP) samples and never
-    span a boundary between segments. Returns (frequencies, magnitude,
-    window count).
-    """
-    if window_length < 2:
-        raise ValueError("window_length must be >= 2")
-    hop = max(1, int(round(window_length * (1.0 - OVERLAP))))
-    acc = np.zeros(window_length // 2 + 1)
-    count = 0
-    for v in segments:
-        for start in range(0, v.size - window_length + 1, hop):
-            acc += np.abs(np.fft.rfft(v[start : start + window_length]))
-            count += 1
-    if count == 0:
-        raise InsufficientDataError(
-            f"no segment provides a complete {window_length}-sample spectral window"
-        )
-    return np.fft.rfftfreq(window_length, dt), acc / count, count
+    """(frequencies, mean of the window_magnitudes, window count)."""
+    magnitude, count = _mean_row([window_magnitudes(segments, window_length)], window_length)
+    return np.fft.rfftfreq(window_length, dt), magnitude, count
 
 
 def uniform_noise_floor(halfwidth: float, window_length: int) -> float:
@@ -164,26 +176,34 @@ def fit_kernel(
     knot_count: int = RunConfig.knot_count,
     window_length: int = RunConfig.window_length,
 ) -> tuple[FineModel, SpectrumFit]:
-    """Fit the shaping kernel to capped residual segments.
+    """fit_windows on capped residual segments."""
+    values = [s.values for s in phi_corr_segments]
+    # windows are taken once fit_windows' checks have passed
+    blocks = (window_magnitudes([v], window_length) for v in values)
+    return fit_windows(blocks, sum(v.size for v in values), len(values), params, knot_count, window_length)
 
-    The averaged magnitude spectrum is divided by the uniform-noise floor
-    and approximated by a piecewise-linear gain over knot_count knots on
-    [0, Nyquist] via least squares, clipped at zero; the taps then come
-    from kernel_from_damping.
+
+def fit_windows(
+    blocks: Iterable, samples: int, segments: int, params: ModelParams, knot_count: int, window_length: int
+) -> tuple[FineModel, SpectrumFit]:
+    """Fit the shaping kernel to capped residual segments (`samples`
+    samples in `segments` segments) by their window_magnitudes blocks.
+
+    Their mean is divided by the uniform-noise floor and approximated by
+    a piecewise-linear gain over knot_count knots on [0, Nyquist] via
+    least squares, clipped at zero; the taps then come from
+    kernel_from_damping.
     """
     if knot_count < 2:
         raise ValueError("knot_count must be >= 2")
-    seg_values = [s.values for s in phi_corr_segments]
-    total = sum(v.size for v in seg_values)
     required = 8 * window_length
-    if total < required:
+    if samples < required:
         raise InsufficientDataError(
-            f"insufficient data for the spectral fit: {total} capped samples "
-            f"across {len(seg_values)} segments, need at least {required}"
+            f"insufficient data for the spectral fit: {samples} capped samples "
+            f"across {segments} segments, need at least {required}"
         )
-    freqs, measured, n_windows = average_magnitude_spectrum(
-        seg_values, window_length, dt=params.dt
-    )
+    measured, n_windows = _mean_row(blocks, window_length)
+    freqs = np.fft.rfftfreq(window_length, params.dt)
     ratio = measured / uniform_noise_floor(params.cap_threshold, window_length)
     knot_freqs = np.linspace(0.0, params.sample_rate / 2.0, knot_count)
     basis = _hat_basis(freqs, knot_freqs)

@@ -1,11 +1,11 @@
 """The file-level pipeline: tour CSVs in, segments, calibrated models and
 CSV text out.
 
-`_fork_map` is the one place the package uses more than one process: it
-maps the tours of ingest_segments, and the row ranges of a long profile
-in format_profile_csv, over forked children, one per CPU, each handing
-its results back in an anonymous memory file. Where memory files
-(os.memfd_create) are missing, as off Linux, both run in one process.
+`_fork_map`, the one place the package uses more than one process, maps
+tours and a long profile's row ranges over forked children, one per CPU
+(in one process off Linux). calibrate_tours reduces each tour to its
+tour_statistics in the share that reads it, so that no process holds
+more than one tour's segments.
 
 Input CSV schema, one file per tour: header t,dist_left,dist_right,v_lon
 with an optional trailing lane_id column; t in seconds, distances in
@@ -29,7 +29,7 @@ from .core import MAX_MAGNITUDE, MAX_SAMPLES, DriveLog, OffsetSeries, RunConfig
 from .errors import InsufficientDataError, SchemaError
 from .generator import TwoLevelModel, input_errors
 from .markov import CoarseModel, count_transitions, discretize, transitions_from_counts
-from .noise import cap, extract_fine, fit_kernel
+from .noise import cap, extract_fine, fit_windows, window_magnitudes
 from .preprocessing import Segment, extract_segments, resample
 
 CSV_COLUMNS = ("t", "dist_left", "dist_right", "v_lon")
@@ -49,20 +49,15 @@ FORK_MIN_ROWS = 4096
 
 def read_drive_log_csv(path) -> DriveLog:
     """Parse one tour CSV; structural problems raise SchemaError naming
-    the offending column and 1-based data row.
+    the offending column and 1-based data row. Blank lines are skipped
+    (they still count in row numbers); an empty lane_id cell is NaN.
 
-    The file is read once, CSV_BLOCK_CHARS characters at a time (see
-    _tour_lines), so that what is held beyond the parsed columns is one
-    block of text, its lines and their cells. Blank lines are skipped
-    (they still count in row numbers) and an empty lane_id cell means
-    unknown (NaN). A block's rows are joined with ",\n" and split once
-    (the newlines mark row starts); every cell goes through float(), and each
-    column's values are appended to a bytearray, which grows in place and
-    which the returned log's column then views without a copy. A block
-    that fails any check, MAX_SAMPLES or MAX_LINE_CHARS included, is
-    checked again row by row from the lines in hand (see
-    _raise_first_error); the blocks before it were accepted, so its first
-    error is the first in file order.
+    The file is read once, in blocks (see _tour_lines), so that beyond the
+    parsed columns one block's text, lines and cells are held. Each
+    column grows in a bytearray, which the returned log views. A block
+    that fails any check is checked again row by row (see
+    _raise_first_error); the blocks before it passed, so its first error
+    is the first in file order.
     """
     path = Path(path)
     blocks = _tour_lines(path)
@@ -116,14 +111,13 @@ def read_drive_log_csv(path) -> DriveLog:
 
 
 def _tour_lines(path: Path):
-    """The lines of a tour file, in non-empty lists, about one per
-    CSV_BLOCK_CHARS characters read: the pieces str.splitlines() cuts the
-    file's UTF-8, universal-newline text, less a leading byte-order mark,
-    into, in file order, the header first, except that a line is cut once
-    it is past MAX_LINE_CHARS, so that no line is held whole past the
-    bound. A missing, unreadable or non-UTF-8 file raises SchemaError as
-    generator.read_input does, the codec's byte position counting from the
-    start of the buffer it decoded."""
+    """The lines of a tour file in order, header first, in non-empty lists,
+    about one per CSV_BLOCK_CHARS characters read: the pieces
+    str.splitlines() cuts its UTF-8, universal-newline text into, less a
+    leading byte-order mark, but a line is cut once past MAX_LINE_CHARS,
+    so none is held whole past the bound. A missing, unreadable or
+    non-UTF-8 file raises SchemaError as generator.read_input does (a
+    codec byte position counts from the start of the buffer decoded)."""
     with input_errors(path, "input"), open(path, encoding="utf-8") as file:
         # the line carried into the next block starts as the first
         # character, unless that is a byte-order mark
@@ -150,24 +144,18 @@ def _raise_first_error(path: Path, header: tuple, lines: list, row: int, previou
     field count, each cell, and the timestamp. Should every line pass,
     the block's checks and these disagree, and AssertionError says so."""
     for row_number, line in enumerate(lines, start=row + 1):
+        def error(problem: str, column: str | None = None) -> SchemaError:
+            return SchemaError(f"{path}: row {row_number}{problem}", column=column, row=row_number)
+
         if row_number > MAX_SAMPLES:
-            raise SchemaError(
-                f"{path}: row {row_number} is past the {MAX_SAMPLES} rows a tour may hold",
-                row=row_number,
-            )
+            raise error(f" is past the {MAX_SAMPLES} rows a tour may hold")
         if len(line) > MAX_LINE_CHARS:
-            raise SchemaError(
-                f"{path}: row {row_number} is longer than {MAX_LINE_CHARS} characters",
-                row=row_number,
-            )
+            raise error(f" is longer than {MAX_LINE_CHARS} characters")
         if not line.strip():
             continue
         cells = line.split(",")
         if len(cells) != len(header):
-            raise SchemaError(
-                f"{path}: row {row_number} has {len(cells)} fields, expected {len(header)}",
-                row=row_number,
-            )
+            raise error(f" has {len(cells)} fields, expected {len(header)}")
         for name, cell in zip(header, cells):
             cell = cell.strip()
             if name == "lane_id" and cell == "":
@@ -175,32 +163,15 @@ def _raise_first_error(path: Path, header: tuple, lines: list, row: int, previou
             try:
                 value = float(cell)
             except ValueError:
-                raise SchemaError(
-                    f"{path}: row {row_number}, column {name!r}: cannot parse {cell!r}",
-                    column=name,
-                    row=row_number,
-                ) from None
+                raise error(f", column {name!r}: cannot parse {cell!r}", name) from None
             if name == "t":
                 t = value
         if not math.isfinite(t):
-            raise SchemaError(
-                f"{path}: row {row_number}: timestamp {t!r} is not finite",
-                column="t",
-                row=row_number,
-            )
+            raise error(f": timestamp {t!r} is not finite", "t")
         if abs(t) > MAX_MAGNITUDE:
-            raise SchemaError(
-                f"{path}: row {row_number}, column 't': "
-                f"timestamp {t!r} has magnitude above {MAX_MAGNITUDE:g}",
-                column="t",
-                row=row_number,
-            )
+            raise error(f", column 't': timestamp {t!r} has magnitude above {MAX_MAGNITUDE:g}", "t")
         if t <= previous_t:
-            raise SchemaError(
-                f"{path}: row {row_number}: timestamps must be strictly increasing",
-                column="t",
-                row=row_number,
-            )
+            raise error(": timestamps must be strictly increasing", "t")
         previous_t = t
     raise AssertionError(f"{path}: rows {row + 1}-{row + len(lines)} fail a block check but no row check")
 
@@ -232,38 +203,41 @@ def _format_rows(times: np.ndarray, values: np.ndarray, rows: tuple[int, int]) -
 
 
 def ingest_segments(paths, config: RunConfig) -> list[Segment]:
-    """Segments of every tour, tour by tour in argument order.
-
-    With several tours and several CPUs, the tours are read in shares,
-    the calling process reading the first (see _fork_map). An error is
-    the one the serial loop raises: that of the first failing tour in
-    argument order.
-    """
+    """Segments of every tour, tour by tour in argument order, read in
+    _fork_map's shares. An error is that of the first failing tour in
+    argument order, as in the serial loop."""
     per_tour = _fork_map(partial(_ingest_tour, config=config), paths)
     return [segment for segments in per_tour for segment in segments]
 
 
+def calibrate_tours(paths, config: RunConfig, metadata: dict) -> tuple[TwoLevelModel, dict]:
+    """calibrate_from_statistics on the tours, each reduced to its
+    tour_statistics in the _fork_map share that reads it; an error is
+    that of the first failing tour, as in ingest_segments."""
+    records = _fork_map(lambda path: tour_statistics(_ingest_tour(path, config), config), paths)
+    return calibrate_from_statistics(records, config, metadata)
+
+
 def _worker_count(items: int) -> int:
-    """Shares _fork_map cuts this many items into: one per CPU in this
-    process's affinity mask (so `taskset` limits them), at most one per
-    item, and 1 (no fork) without memory files (os.memfd_create) or an
-    affinity mask to count, as off Linux."""
+    """Shares _fork_map cuts this many items into: one per CPU in the
+    affinity mask (so `taskset` limits them), at most one per item, and 1
+    without os.memfd_create or an affinity mask, as off Linux."""
     if not (hasattr(os, "memfd_create") and hasattr(os, "sched_getaffinity")):
         return 1
     return min(items, len(os.sched_getaffinity(0)))
 
 
 def _fork_map(fn, items) -> list:
-    """[fn(item) for item in items], computed in _worker_count(len(items))
-    contiguous shares: the calling process maps the first, and one
-    os.fork() child maps each other share and pickles its results into an
-    anonymous memory file, which the calling process reads once every
-    child has ended. Raises the exception the serial loop would: the
-    first in item order, or ChildProcessError for a child that ended
-    without a result. Every child is reaped and every memory file closed
-    before this returns or raises. Shares no child could be forked for (no
-    memory file or process to be had) are mapped in the calling process,
-    after the children's.
+    """[fn(item) for item in items], in _worker_count(len(items))
+    contiguous shares: the calling process maps the first, and an
+    os.fork() child each other, pickling its results (for calibrate_tours,
+    a tour's statistics) into a memory file read once every child has
+    ended. Raises what the serial loop would: the first exception in item
+    order, or ChildProcessError for a child that ended without a result.
+    Every child is reaped and every memory file closed before this returns
+    or raises. Shares no child could be forked for (no memory file or
+    process to be had) are mapped in the calling process, after the
+    children's.
 
     fork copies only the calling thread, so a caller running threads of
     its own should pass a single item.
@@ -318,40 +292,45 @@ def _map_share_and_exit(fn, share: list, memory: BinaryIO) -> NoReturn:
 
 def _ingest_tour(path, config: RunConfig) -> list[Segment]:
     track = resample(read_drive_log_csv(path), config.sample_rate)
-    return extract_segments(
-        track, config, jump_threshold=config.jump_threshold, guard_steps=config.guard_steps
-    )
+    return extract_segments(track, config, jump_threshold=config.jump_threshold, guard_steps=config.guard_steps)
+
+
+def tour_statistics(segments: list[Segment], config: RunConfig) -> tuple:
+    """What calibration keeps of a tour's segments: the transition counts
+    (n_c x n_c), each spectral window's |rfft| in window order, the step
+    total (the capped residual has as many samples) and the segment count."""
+    params = config.model_params()
+    counts = count_transitions((discretize(seg.series.values, params.n_c) for seg in segments), params.n_c)
+    capped = [cap(extract_fine(seg.series, params), params.cap_threshold).values for seg in segments]
+    return counts, window_magnitudes(capped, config.window_length), sum(map(len, segments)), len(segments)
 
 
 def calibrate_from_segments(
     segments: list[Segment], config: RunConfig, metadata: dict | None = None
 ) -> tuple[TwoLevelModel, dict]:
-    """Full calibration: transition estimation plus the spectral fit.
+    """calibrate_from_statistics on the segments, taken as one tour."""
+    return calibrate_from_statistics([tour_statistics(segments, config)], config, metadata)
 
-    Returns the model and a summary with segment counts, usable minutes,
-    per-row visit totals, the repaired rows, and the spectral fit residual.
-    """
-    if not segments:
+
+def calibrate_from_statistics(
+    records: list, config: RunConfig, metadata: dict | None = None
+) -> tuple[TwoLevelModel, dict]:
+    """Transition estimation plus the spectral fit on one or more
+    tour_statistics records, folded in order. Returns the model and a
+    summary: segment count, usable minutes, row visits, repaired rows and
+    fit diagnostics."""
+    per_tour_counts, windows, steps, segments = zip(*records)
+    if not sum(segments):
         raise InsufficientDataError("no road-following segments in the input data")
     params = config.model_params()
-    state_segments = [discretize(seg.series.values, params.n_c) for seg in segments]
-    counts = count_transitions(state_segments, params.n_c)
+    counts = sum(per_tour_counts)
     coarse = CoarseModel.from_params(params, transitions_from_counts(counts))
-    capped = [cap(extract_fine(seg.series, params), params.cap_threshold) for seg in segments]
-    fine, fit = fit_kernel(
-        capped, params, knot_count=config.knot_count, window_length=config.window_length
-    )
-    total_steps = sum(len(seg) for seg in segments)
+    fine, fit = fit_windows(windows, sum(steps), sum(segments), params, config.knot_count, config.window_length)
     visits = counts.sum(axis=1)
-    model = TwoLevelModel(
-        params=params,
-        coarse=coarse,
-        fine=fine,
-        metadata=dict(metadata or {}),
-    )
+    model = TwoLevelModel(params=params, coarse=coarse, fine=fine, metadata=dict(metadata or {}))
     summary = {
-        "segment_count": len(segments),
-        "usable_minutes": total_steps * params.dt / 60.0,
+        "segment_count": sum(segments),
+        "usable_minutes": sum(steps) * params.dt / 60.0,
         "row_visits": visits.tolist(),
         # rows never left in the data: transitions_from_counts gave each
         # a step toward the nearest visited bin

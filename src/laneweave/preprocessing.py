@@ -10,9 +10,9 @@ import numpy as np
 from .core import MAX_SAMPLES, DriveLog, ModelParams, OffsetSeries, RunConfig, relative_offset
 from .errors import InsufficientDataError, SchemaError
 
-# source rows resample checks and converts to offsets at a time, so that its
-# temporaries beyond the full-length offsets stay bounded
-RESAMPLE_SLICE_ROWS = 1 << 16
+# rows resample checks, and grid points it fills, at a time, which bounds
+# its temporaries
+RESAMPLE_SLICE = 1 << 11
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,18 +48,15 @@ def resample(log: DriveLog, target_rate: float) -> ResampledTrack:
 
     Grid points beyond the last source timestamp are not emitted. A grid
     point is valid only if the source samples it interpolates between are
-    valid; invalid samples are never interpolated across.
+    valid; invalid samples are never interpolated across. Offsets are
+    worked out only at the source rows that bracket grid points.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     t = log.t
-    offsets_src = np.full(t.size, np.nan)
-    n_valid = 0
-    for start in range(0, t.size, RESAMPLE_SLICE_ROWS):
-        rows = slice(start, start + RESAMPLE_SLICE_ROWS)
-        valid = log.valid_mask(rows)
-        n_valid += int(np.count_nonzero(valid))
-        offsets_src[rows][valid] = relative_offset(log.dist_left[rows][valid], log.dist_right[rows][valid])
+    n_valid = sum(
+        int(log.valid_mask(slice(k, k + RESAMPLE_SLICE)).sum()) for k in range(0, t.size, RESAMPLE_SLICE)
+    )
     if n_valid < 2:
         raise InsufficientDataError(f"tour {log.tour_id!r}: need at least 2 valid samples, got {n_valid}")
 
@@ -71,30 +68,38 @@ def resample(log: DriveLog, target_rate: float) -> ResampledTrack:
         )
 
     n_grid = int(np.floor(span + 1e-9)) + 1
-    grid = t[0] + np.arange(n_grid) / target_rate
-    left = np.clip(np.searchsorted(t, grid, side="right") - 1, 0, t.size - 2)
-    weight = np.clip((grid - t[left]) / (t[left + 1] - t[left]), 0.0, 1.0)
-    on_left = weight <= 1e-12
-    on_right = weight >= 1.0 - 1e-12
+    offsets, velocity, lane_ids = np.empty(n_grid), np.empty(n_grid), np.empty(n_grid)
+    for start in range(0, n_grid, RESAMPLE_SLICE):
+        grid = t[0] + np.arange(start, min(start + RESAMPLE_SLICE, n_grid)) / target_rate
+        left = np.clip(np.searchsorted(t, grid, side="right") - 1, 0, t.size - 2)
+        rows = np.stack((left, left + 1))  # the rows bracketing each point
+        t_left, t_right = t[rows]
+        weight = np.clip((grid - t_left) / (t_right - t_left), 0.0, 1.0)
+        points = slice(start, start + grid.size)
+        offsets[points] = _lerp(weight, *_offsets_at(log, rows))
+        velocity[points] = _lerp(weight, *log.v_lon[rows])
+        lane_ids[points] = log.lane_id[left]
 
-    def lerp(column: np.ndarray) -> np.ndarray:
-        # Exact grid hits take the sample value directly; this keeps a NaN
-        # neighbor from poisoning the multiply and the value bit-exact. An
-        # infinite velocity (its sample is invalid) or two near float max
-        # may blend to NaN or overflow: at such a grid point the offset is
-        # NaN, or the speed past v_min either way, so numpy's warning is noise.
-        with np.errstate(invalid="ignore", over="ignore"):
-            blended = (1.0 - weight) * column[left] + weight * column[left + 1]
-        return np.where(on_left, column[left], np.where(on_right, column[left + 1], blended))
+    return ResampledTrack(float(t[0]), 1.0 / target_rate, offsets, velocity, lane_ids, log.tour_id)
 
-    return ResampledTrack(
-        start_t=float(t[0]),
-        dt=1.0 / target_rate,
-        offsets=lerp(offsets_src),
-        velocity=lerp(log.v_lon),
-        lane_ids=log.lane_id[left],
-        source_tour=log.tour_id,
-    )
+
+def _offsets_at(log: DriveLog, rows: np.ndarray) -> np.ndarray:
+    """Offsets at the source rows, NaN at invalid ones."""
+    valid = log.valid_mask(rows)
+    out = np.full(rows.shape, np.nan)
+    rows = rows[valid]
+    out[valid] = relative_offset(log.dist_left[rows], log.dist_right[rows])
+    return out
+
+
+def _lerp(weight: np.ndarray, at_left: np.ndarray, at_right: np.ndarray) -> np.ndarray:
+    # Exact grid hits take the sample value, bit-exact and safe from a NaN
+    # neighbor. An infinite velocity (of an invalid sample) or two near
+    # float max may blend to NaN or overflow, where the offset is NaN or
+    # the speed past v_min anyway, so numpy's warning is noise.
+    with np.errstate(invalid="ignore", over="ignore"):
+        blended = (1.0 - weight) * at_left + weight * at_right
+    return np.where(weight <= 1e-12, at_left, np.where(weight >= 1.0 - 1e-12, at_right, blended))
 
 
 def extract_segments(

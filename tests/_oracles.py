@@ -3,8 +3,9 @@ with the package (only its data and error types): plain Python loops,
 fsum, manual order statistics, one numpy binary search per chain step,
 a cell-by-cell CSV reader, and the one-column population summary; and
 the former forms of a few checks and counts, kept to compare against:
-the per-row comma count, the timestamp check through np.diff, and one
-np.add.at per segment of transitions."""
+the per-row comma count, the timestamp check through np.diff, one
+np.add.at per segment of transitions, and resampling over the whole grid
+from full-length source offsets."""
 
 import math
 from pathlib import Path
@@ -12,8 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from laneweave import pipeline
-from laneweave.core import MAX_MAGNITUDE, DriveLog
-from laneweave.errors import SchemaError
+from laneweave.core import MAX_MAGNITUDE, MAX_SAMPLES, DriveLog, relative_offset
+from laneweave.errors import InsufficientDataError, SchemaError
 from laneweave.evaluation import QUANTILE_LADDER
 
 CSV_COLUMNS = ("t", "dist_left", "dist_right", "v_lon")
@@ -130,6 +131,35 @@ def add_at_transitions(state_segments, n_c):
             raise ValueError("state index out of range")
         np.add.at(counts, (seg[:-1], seg[1:]), 1)
     return counts
+
+
+def whole_grid_resample(log, target_rate):
+    """(offsets, velocity, lane_ids) on the grid t0 + i/rate, or the
+    error, as resample made them before it worked in grid slices: every
+    source row's offset at once, then the whole grid in one pass."""
+    t = log.t
+    valid = log.valid_mask()
+    offsets_src = np.full(t.size, np.nan)
+    offsets_src[valid] = relative_offset(log.dist_left[valid], log.dist_right[valid])
+    n_valid = int(np.count_nonzero(valid))
+    if n_valid < 2:
+        raise InsufficientDataError(f"tour {log.tour_id!r}: need at least 2 valid samples, got {n_valid}")
+    span = (t[-1] - t[0]) * target_rate
+    if not span < MAX_SAMPLES:
+        raise SchemaError(
+            f"tour {log.tour_id!r} spans {float(t[-1] - t[0])!r} s, more than "
+            f"{MAX_SAMPLES} grid points at {target_rate:g} Hz"
+        )
+    grid = t[0] + np.arange(int(np.floor(span + 1e-9)) + 1) / target_rate
+    left = np.clip(np.searchsorted(t, grid, side="right") - 1, 0, t.size - 2)
+    weight = np.clip((grid - t[left]) / (t[left + 1] - t[left]), 0.0, 1.0)
+
+    def lerp(column):
+        with np.errstate(invalid="ignore", over="ignore"):
+            blended = (1.0 - weight) * column[left] + weight * column[left + 1]
+        return np.where(weight <= 1e-12, column[left], np.where(weight >= 1.0 - 1e-12, column[left + 1], blended))
+
+    return lerp(offsets_src), lerp(log.v_lon), log.lane_id[left]
 
 
 def _check_line_bounds(path, row_number, line):

@@ -295,7 +295,8 @@ def run_cli(argv):
 DENSE_ROWS = 200_000
 # the most calibrate on that tour may add to a fresh interpreter that
 # imported the command line: 37 MB when the reader held the whole text,
-# 18.6 MB with full-length copies in DriveLog's check and resample, now 12.8
+# 18.6 MB with full-length copies in DriveLog's check and resample, 12.8
+# with full-length source offsets in resample, now 9.7-9.9
 DENSE_PEAK_MB = 16
 _PEAK_KIB = "import resource; {code}; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import stat
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from laneweave.generator import (
     load_model,
     model_from_dict,
     model_to_dict,
+    read_input,
     save_model,
 )
 from laneweave.markov import COPIED_SETTINGS, CoarseModel, discretize
@@ -184,6 +186,24 @@ class TestPersistence:
         doc[section][key] = value
         with pytest.raises(SchemaError):
             model_from_dict(doc)
+
+    def test_reading_a_model_allocates_about_its_size(self, calibrated, tmp_path):
+        # a read of MAX_INPUT_BYTES + 1 at once allocated all 64 MiB first
+        path = tmp_path / "model.json"
+        save_model(calibrated[0], path)
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size < peak < 1 << 20
+
+    def test_a_file_of_several_reads_is_decoded_whole(self, tmp_path):
+        # after the 7 bytes of '{"n": "', each 64 KiB read ends inside an é
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": "é" * (3 << 16)}, ensure_ascii=False), encoding="utf-8")
+        assert read_input(path, "config") == {"n": "é" * (3 << 16)}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SchemaError, match="not found"):

@@ -9,6 +9,8 @@ from laneweave.core import DriveLog, ModelParams
 from laneweave.errors import InsufficientDataError
 from laneweave.preprocessing import extract_segments, resample
 
+from _oracles import whole_grid_resample
+
 LANE_WIDTH = 3.6
 
 
@@ -106,30 +108,39 @@ class TestResample:
 
     @settings(deadline=None)
     @given(
-        steps=st.lists(st.sampled_from([0.05, 0.1, 0.15, 0.2, 0.35]), min_size=1, max_size=24),
+        start=st.sampled_from([0.0, 0.1, -3.3, 1e4]),
+        steps=st.lists(st.sampled_from([0.05, 0.1, 0.15, 0.2, 0.35, 1.0]), min_size=1, max_size=40),
         cells=st.data(),
-        slice_rows=st.integers(1, 7),
     )
-    def test_row_slices_change_no_bit(self, steps, cells, slice_rows):
+    def test_row_slices_change_no_bit(self, start, steps, cells):
+        """Grid slices of any size give the bits and errors of the whole
+        grid at once: NaN, negative and huge distances, NaN and infinite
+        speeds, unknown lanes, and grid points on a sample and between."""
         n = len(steps) + 1
         distance = st.sampled_from([1.8, 0.0, -0.3, 2.5, np.nan, np.inf, 1.7e308])
         log = DriveLog(
-            t=np.cumsum([0.0, *steps]),
+            t=start + np.cumsum([0.0, *steps]),
             dist_left=cells.draw(st.lists(distance, min_size=n, max_size=n)),
             dist_right=cells.draw(st.lists(distance, min_size=n, max_size=n)),
             v_lon=cells.draw(st.lists(st.sampled_from([80.0, 30.0, np.nan, np.inf]), min_size=n, max_size=n)),
+            lane_id=cells.draw(st.lists(st.sampled_from([1.0, 2.0, np.nan]), min_size=n, max_size=n)),
         )
 
-        def outcome():
+        def outcome(run):
             try:
-                track = resample(log, 5.0)
+                columns = run()
             except InsufficientDataError as exc:
                 return str(exc)
-            return track.offsets.tobytes(), track.velocity.tobytes(), track.lane_ids.tobytes()
+            return [column.tobytes() for column in columns]
 
-        whole = outcome()
-        with mock.patch.object(preprocessing, "RESAMPLE_SLICE_ROWS", slice_rows):
-            assert outcome() == whole
+        def sliced():
+            track = resample(log, 5.0)
+            return track.offsets, track.velocity, track.lane_ids
+
+        whole = outcome(lambda: whole_grid_resample(log, 5.0))
+        for slice_size in (1, 2, 3, 7, preprocessing.RESAMPLE_SLICE):
+            with mock.patch.object(preprocessing, "RESAMPLE_SLICE", slice_size):
+                assert outcome(sliced) == whole
 
 
 class TestExtractSegments:
