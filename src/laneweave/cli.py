@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import ModelParams, RunConfig, check_seed
 from .errors import ArgumentUsageError, InsufficientDataError, LaneweaveError, SchemaError
-from .evaluation import evaluate, parse_modes, report_json, summarize, window_steps
+from .evaluation import parse_modes, window_steps
 from .generator import (
     atomic_write_text,
     bench_generation,
@@ -27,9 +27,9 @@ from .generator import (
 )
 from .pipeline import (
     calibrate_tours,
+    evaluate_tours,
     format_drive_log_csv,
     format_profile_csv,
-    ingest_segments,
     read_drive_log_csv,  # noqa: F401  perfbench traces the tour reader through this name
 )
 from .synthetic import KERNEL_FAMILIES, TRANSITION_FAMILIES, SyntheticSpec, make_model, simulate_drive_log
@@ -129,17 +129,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     window_steps(config.snippet_duration, config.dt)
     modes = parse_modes(args.modes)
     check_seed(args.seed)
-    segments = ingest_segments(args.input, config)
-    reports = evaluate(modes, segments, model, args.seed, snippet_duration=config.snippet_duration)
-    out_dir = Path(args.out)
-    for report in reports:
-        name = report.mode.value
-        atomic_write_text(out_dir / f"report_{name}.json", report_json(report, config))
-        atomic_write_text(out_dir / f"summary_{name}.csv", summarize(report))
-    for report in reports:
-        worst = max(report.ks, key=report.ks.get)
-        print(f"mode={report.mode.value} snippets={report.snippet_count} max_ks={report.ks[worst]:.4f} ({worst})")
-    print(f"reports written to {out_dir}")
+    lines = evaluate_tours(args.input, modes, model, config, args.seed, args.out)
+    print(*lines, f"reports written to {Path(args.out)}", sep="\n")
     return EXIT_OK
 
 

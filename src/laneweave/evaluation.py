@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,11 +59,11 @@ class EvalMode(str, Enum):
 def parse_modes(names: str) -> list[EvalMode]:
     """The modes of a comma-separated list, in its order; each may appear once."""
     modes = [EvalMode.parse(name) for name in names.split(",")]
-    _refuse_repeated(modes)
+    check_modes(modes)
     return modes
 
 
-def _refuse_repeated(modes: Sequence[EvalMode]) -> None:
+def check_modes(modes: Sequence[EvalMode]) -> None:
     for k, mode in enumerate(modes):
         if mode in modes[:k]:
             raise ArgumentUsageError(f"evaluation mode {mode.value!r} is given more than once")
@@ -156,8 +156,7 @@ def ks_critical_value(n: int, m: int, alpha: float = 0.01) -> float:
 class Population:
     """One side's metric rows, a (snippet_count, 10) array in METRIC_NAMES
     column order, with the summaries and JSON list texts the report files
-    are made of, each built on first use. The reports of one evaluate call
-    share one real Population, so its summaries and texts are built once."""
+    are made of, each built on first use."""
 
     rows: np.ndarray
 
@@ -278,42 +277,35 @@ def _population_summaries(rows: np.ndarray) -> list[dict]:
     ]
 
 
-def run_mode(
-    mode: EvalMode,
-    real_segments: Sequence[Segment],
-    model: TwoLevelModel,
-    rng_seed: MasterSeed = 0,
-    *,
-    snippet_duration: float | None = None,
-) -> EvaluationReport:
-    """The report of evaluate for a single mode."""
-    (report,) = evaluate([mode], real_segments, model, rng_seed, snippet_duration=snippet_duration)
-    return report
+def run_mode(mode: EvalMode, *args, **kwargs) -> EvaluationReport:
+    """The report of one mode, from report_builder(*args, **kwargs)."""
+    return report_builder(*args, **kwargs)(mode)
 
 
-def evaluate(
-    modes: Sequence[EvalMode],
-    real_segments: Sequence[Segment],
-    model: TwoLevelModel,
-    rng_seed: MasterSeed = 0,
-    *,
-    snippet_duration: float | None = None,
-) -> list[EvaluationReport]:
-    """Build the paired artificial population of each mode and compare,
-    one report per mode in the given order; each mode may appear once.
-
-    The real side (the snippets, their measured drift and capped residual,
-    their metrics, and the summaries and JSON texts of those) is built once
-    and shared by every mode. Every real snippet gets an artificial
-    counterpart of the same length and initial offset. One child seed per
-    snippet is spawned from rng_seed once, and every mode draws snippet i
-    from child i, so reports repeat exactly under the same seed. With an
-    int seed each mode gets the children it would get alone; with None the
-    modes share one entropy draw. The reports record an int seed, and null
-    for None or a SeedSequence.
-    """
+def evaluate(modes: Sequence[EvalMode], *args, **kwargs) -> list[EvaluationReport]:
+    """Each mode's report, in the given order (each mode at most once),
+    from one report_builder(*args, **kwargs)."""
     modes = list(modes)
-    _refuse_repeated(modes)
+    check_modes(modes)
+    report = report_builder(*args, **kwargs)
+    return [report(mode) for mode in modes]
+
+
+def report_builder(
+    real_segments: Sequence[Segment],
+    model: TwoLevelModel,
+    rng_seed: MasterSeed = 0,
+    *,
+    snippet_duration: float | None = None,
+) -> Callable[[EvalMode], EvaluationReport]:
+    """Build the real side once (the snippets, their drift and capped
+    residual, their Population, which every report shares, and a child
+    seed per snippet) and return the function that builds a mode's
+    report: an artificial counterpart of each snippet, of its length and
+    initial offset, drawn from its child, and each metric's KS distance.
+    An int seed gives each mode the children it would get alone, and None
+    one entropy draw for all. The reports record an int seed, and null
+    for None or a SeedSequence."""
     check_seed(rng_seed)
     params = model.params
     duration = params.snippet_duration if snippet_duration is None else snippet_duration
@@ -336,8 +328,7 @@ def evaluate(
     seed = int(rng_seed) if isinstance(rng_seed, numbers.Integral) else None
     children = seed_children(rng_seed, real.shape[0])
 
-    reports = []
-    for mode in modes:
+    def report(mode: EvalMode) -> EvaluationReport:
         if mode is EvalMode.SHIFT_TEST:
             shifted = [_windows(np.roll(c, shift_steps), w) for _, _, c in tracks]
             art = drift + np.concatenate(shifted)
@@ -367,8 +358,9 @@ def evaluate(
             name: ks_distance(real_rows[:, j], art_rows[:, j])
             for j, name in enumerate(METRIC_NAMES)
         }
-        reports.append(EvaluationReport(mode, real_population, Population(art_rows), ks, seed))
-    return reports
+        return EvaluationReport(mode, real_population, Population(art_rows), ks, seed)
+
+    return report
 
 
 def summarize(report: EvaluationReport) -> str:

@@ -1,11 +1,9 @@
-"""The file-level pipeline: tour CSVs in, segments, calibrated models and
-CSV text out.
+"""The file-level pipeline: tour CSVs in, segments, calibrated models,
+evaluation reports and CSV text out.
 
 `_fork_map`, the one place the package uses more than one process, maps
-tours and a long profile's row ranges over forked children, one per CPU
-(in one process off Linux). calibrate_tours reduces each tour to its
-tour_statistics in the share that reads it, so that no process holds
-more than one tour's segments.
+tours, evaluate's modes and a long profile's row ranges over forked
+children, one per CPU (in one process off Linux).
 
 Input CSV schema, one file per tour: header t,dist_left,dist_right,v_lon
 with an optional trailing lane_id column; t in seconds, distances in
@@ -27,23 +25,22 @@ import numpy as np
 
 from .core import MAX_MAGNITUDE, MAX_SAMPLES, DriveLog, OffsetSeries, RunConfig
 from .errors import InsufficientDataError, SchemaError
-from .generator import TwoLevelModel, input_errors
+from .evaluation import EvalMode, check_modes, report_builder, report_json, summarize
+from .generator import TwoLevelModel, atomic_write_text, input_errors
 from .markov import CoarseModel, count_transitions, discretize, transitions_from_counts
 from .noise import cap, extract_fine, fit_windows, window_magnitudes
 from .preprocessing import Segment, extract_segments, resample
 
 CSV_COLUMNS = ("t", "dist_left", "dist_right", "v_lon")
 # characters of tour text read and parsed at a time, which bounds the
-# transient lines and cell strings: some 400 rows of a 50-minute tour; at
-# twice this, reading one peaked at 1.7 MiB, not 1.1 MiB, and was no faster
+# transient lines and cell strings; at twice this, reading a 50-minute
+# tour peaked at 1.7 MiB, not 1.1 MiB, and was no faster
 CSV_BLOCK_CHARS = 1 << 15
 # Longest tour line, so that no line is held whole before it is refused;
 # a row of five float reprs takes at most about 120 characters.
 MAX_LINE_CHARS = 4096
-# fewest profile rows a share formats: timing the writer alone on a shared
-# 2-vCPU Xeon host, two shares took 8192 rows from 20.2 to 17.9 ms, but
-# 4096 rows from 10.4 to 11.3 ms, the fork and the hand-back of the text
-# costing more than they saved
+# fewest profile rows a share formats: below it the fork and the hand-back
+# cost more than the split saves
 FORK_MIN_ROWS = 4096
 
 
@@ -187,9 +184,8 @@ def format_drive_log_csv(log: DriveLog) -> str:
 
 
 def format_profile_csv(series: OffsetSeries) -> str:
-    """The profile as t,x CSV text. Rows are formatted in ranges of at
-    least FORK_MIN_ROWS, so a profile of twice that or more is formatted
-    on every CPU, and the ranges are joined in order."""
+    """The profile as t,x CSV text, formatted in _fork_map's shares, in
+    row ranges of at least FORK_MIN_ROWS joined in order."""
     ranges = max(1, len(series) // FORK_MIN_ROWS)
     bounds = [len(series) * k // ranges for k in range(ranges + 1)]
     chunks = _fork_map(partial(_format_rows, series.times(), series.values), zip(bounds, bounds[1:]))
@@ -218,6 +214,25 @@ def calibrate_tours(paths, config: RunConfig, metadata: dict) -> tuple[TwoLevelM
     return calibrate_from_statistics(records, config, metadata)
 
 
+def evaluate_tours(paths, modes, model: TwoLevelModel, config: RunConfig, rng_seed, out_dir) -> list[str]:
+    """evaluate on the tours' segments from one report_builder, made
+    before any fork; each _fork_map share writes its modes' report files
+    under out_dir and returns their console lines. An error is the first
+    mode's to fail, but another share may have written."""
+    check_modes(modes)
+    build = report_builder(ingest_segments(paths, config), model, rng_seed, snippet_duration=config.snippet_duration)
+    out_dir = Path(out_dir)
+
+    def write(mode: EvalMode) -> str:
+        report = build(mode)
+        atomic_write_text(out_dir / f"report_{mode.value}.json", report_json(report, config))
+        atomic_write_text(out_dir / f"summary_{mode.value}.csv", summarize(report))
+        worst = max(report.ks, key=report.ks.get)
+        return f"mode={mode.value} snippets={report.snippet_count} max_ks={report.ks[worst]:.4f} ({worst})"
+
+    return _fork_map(write, modes)
+
+
 def _worker_count(items: int) -> int:
     """Shares _fork_map cuts this many items into: one per CPU in the
     affinity mask (so `taskset` limits them), at most one per item, and 1
@@ -230,8 +245,8 @@ def _worker_count(items: int) -> int:
 def _fork_map(fn, items) -> list:
     """[fn(item) for item in items], in _worker_count(len(items))
     contiguous shares: the calling process maps the first, and an
-    os.fork() child each other, pickling its results (for calibrate_tours,
-    a tour's statistics) into a memory file read once every child has
+    os.fork() child each other, pickling its results (for evaluate_tours,
+    a mode's console line) into a memory file read once every child has
     ended. Raises what the serial loop would: the first exception in item
     order, or ChildProcessError for a child that ended without a result.
     Every child is reaped and every memory file closed before this returns

@@ -349,10 +349,13 @@ class TestEvaluate:
     def test_real_side_is_built_once(self, tmp_path, model_file, tour_csv):
         args = ["evaluate", "--model", str(model_file), "--input", str(tour_csv)]
         args += ["--modes", "shift,coarse,fine,full", "--out", str(tmp_path / "r")]
-        with mock.patch.object(evaluation, "compute_metrics", wraps=evaluation.compute_metrics) as spy:
-            assert main(args) == EXIT_OK
-        # the real snippets once, then each mode's artificial population
-        assert spy.call_count == 1 + 4
+        # the spy sees only the calling process, which maps the first share of the modes
+        for shares, own_modes in ((1, 4), (2, 2)):
+            with mock.patch.object(pipeline, "_worker_count", lambda items: min(items, shares)), \
+                    mock.patch.object(evaluation, "compute_metrics", wraps=evaluation.compute_metrics) as spy:
+                assert main(args) == EXIT_OK
+            # the real snippets once, then the artificial population of each mode it maps
+            assert spy.call_count == 1 + own_modes
 
     def test_unknown_mode_is_argument_error(self, tmp_path, model_file, tour_csv):
         code = main(

@@ -1,8 +1,9 @@
 """Ingestion reads several tours side by side, in shares mapped by the
 calling process and forked children: it must give what the in-process
-per-tour loop gives, segment for segment or error for error. Commands
-that read one tour must not fork, and no command loads multiprocessing
-or concurrent.futures."""
+per-tour loop gives, segment for segment or error for error. evaluate
+maps its modes the same way and must write and print what one process
+does. One-tour calibrate and a short generate must not fork, and no
+command loads multiprocessing or concurrent.futures."""
 
 import collections
 import contextlib
@@ -20,9 +21,10 @@ from hypothesis import given, settings, strategies as st
 
 import laneweave
 from laneweave import errors, pipeline
-from laneweave.cli import EXIT_CALIBRATION, EXIT_OK, EXIT_SCHEMA, main
+from laneweave.cli import EXIT_ARGUMENT, EXIT_CALIBRATION, EXIT_OK, EXIT_SCHEMA, main
 from laneweave.core import RunConfig
 from laneweave.errors import InsufficientDataError, LaneweaveError, SchemaError
+from laneweave.evaluation import EvalMode
 from laneweave.generator import model_to_dict
 from laneweave.pipeline import (
     calibrate_from_segments,
@@ -118,11 +120,17 @@ def _cli_env():
     return env
 
 
-def _run(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _run_printing(argv):
+    """An in-process CLI run's exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(arg) for arg in argv])
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run(argv):
+    code, _, stderr = _run_printing(argv)
+    return code, stderr
 
 
 @pytest.fixture(scope="module")
@@ -168,17 +176,86 @@ def test_too_short_tour_is_named(tours):
         assert stderr == "error: tour 'one_row': need at least 2 valid samples, got 1\n"
 
 
-# os.fork raises, so a command that forks fails the run
+@pytest.fixture(scope="module")
+def eval_model(tours):
+    model = tours["root"] / "eval_model.json"
+    assert _run(["calibrate", "--input", tours["good1"], "--out", model])[0] == EXIT_OK
+    return model
+
+
+def _evaluation(argv, out: Path):
+    """An evaluate run writing to out: its exit code, stdout and stderr
+    with out's path masked, and the bytes of each file in out (None for
+    a directory)."""
+    code, stdout, stderr = _run_printing([*argv, "--out", out])
+    files = None
+    if out.is_dir():
+        files = {path.name: path.read_bytes() if path.is_file() else None for path in out.iterdir()}
+    return code, stdout.replace(str(out), "<out>"), stderr.replace(str(out), "<out>"), files
+
+
+def shares(count):
+    return mock.patch.object(pipeline, "_worker_count", lambda items: min(items, count))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    modes=st.permutations(list(EvalMode)).flatmap(lambda order: st.integers(1, 4).map(lambda k: order[:k])),
+    count=st.integers(1, 3),
+    seed=st.integers(0, 3),
+)
+def test_forked_evaluate_writes_and_prints_what_one_share_does(tours, eval_model, tmp_path_factory, modes, count, seed):
+    root = tmp_path_factory.mktemp("evaluate")
+    argv = ["evaluate", "--model", eval_model, "--input", tours["good2"], "--seed", seed]
+    argv += ["--modes", ",".join(mode.value for mode in modes)]
+    with shares(1):
+        expected = _evaluation(argv, root / "one")
+    with shares(count):
+        assert _evaluation(argv, root / "forked") == expected
+    assert expected[0] == EXIT_OK and len(expected[3]) == 2 * len(modes)
+
+
+@pytest.mark.parametrize("blocked", ["out is a file", "last report is a directory"])
+def test_failed_write_ends_as_in_one_process(tours, eval_model, tmp_path, blocked):
+    outcomes = []
+    for forced in (serial_forced, fork_forced):
+        out = tmp_path / forced.__name__
+        if blocked == "out is a file":
+            out.write_text("")
+        else:
+            (out / "report_full.json").mkdir(parents=True)
+        with forced():
+            outcomes.append(_evaluation(["evaluate", "--model", eval_model, "--input", tours["good2"]], out))
+    assert outcomes[0] == outcomes[1]
+    code, stdout, stderr, files = outcomes[0]
+    assert code == EXIT_ARGUMENT and stdout == "" and stderr.count("\n") == 1
+    if blocked == "out is a file":
+        assert stderr == "error: cannot write <out>/report_shift.json: <out> is not a directory\n"
+    else:
+        # the modes before full wrote their files, forked or not
+        assert stderr == "error: cannot write <out>/report_full.json: it is a directory\n"
+        written = [f"{name}_{mode}.{ext}" for mode in ("shift", "coarse", "fine")
+                   for name, ext in (("report", "json"), ("summary", "csv"))]
+        assert files.keys() == {*written, "report_full.json"} and files["report_full.json"] is None
+
+
+# counts each command's forks; a forked child leaves by os._exit, so
+# only the calling process prints
 _LEAN_RUNNER = """
 import contextlib, io, json, os, sys
 from laneweave.cli import main
+forks, real_fork = [], os.fork
 def fork():
-    raise AssertionError("forked")
+    forks[-1] += 1
+    return real_fork()
 os.fork = fork
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+codes = []
+for argv in json.loads(sys.argv[1]):
+    forks.append(0)
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
 loaded = [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules]
-print(json.dumps([codes, loaded]))
+print(json.dumps([codes, forks, loaded]))
 """
 
 
@@ -194,7 +271,10 @@ def test_one_tour_commands_load_no_process_pool(tours):
         [sys.executable, "-c", _LEAN_RUNNER, json.dumps([[str(a) for a in c] for c in commands])],
         capture_output=True, text=True, env=_cli_env(), timeout=120, check=True,
     )
-    assert json.loads(completed.stdout) == [[EXIT_OK] * 3, []]
+    codes, forks, loaded = json.loads(completed.stdout)
+    assert codes == [EXIT_OK] * 3 and loaded == []
+    # evaluate maps its modes over the CPUs, so it may fork
+    assert forks[:2] == [0, 0]
 
 
 # Prints a line before calibrating, so that stdout holds buffered output
